@@ -2,90 +2,25 @@
 occurrence spectra, a one-parameter rank-law fit, and a generative
 preferential-reuse simulator, with MIDI and plain-text front ends."""
 
-from .errors import (
-    DanglingStatus,
-    DecodeError,
-    DegenerateTable,
-    DomainError,
-    EmptyCorpus,
-    InsufficientSupport,
-    InvalidVlq,
-    MissingHeader,
-    NoRoot,
-    NoteZipfError,
-    SmfError,
-    SmpteDivision,
-    TruncatedChunk,
-)
-from .fit import SimonFit, chi_square_gof, coefficients, fit_nu, predict_n, solve_n0
-from .notes import (
-    DEFAULT_GRID,
-    DurationClass,
-    DurationGrid,
-    NoteToken,
-    TokenizeOptions,
-    classify_duration,
-    tokenize,
-)
-from .simulate import SimConfig, SimResult, ZipfReport, simulate, verify_zipf
-from .smf import RawNote, SmfHeader, extract_notes, pair_notes, parse_smf
-from .stats import (
-    OccurrenceSpectrum,
-    RankTable,
-    count_tokens,
-    dense_spectrum_window,
-    fit_rank_slope,
-    fit_spectrum_gamma,
-    spectrum,
-)
-from .text import read_text_tokens, tokenize_text
+from .analysis import analyze_tokens, read_tokens
+from .errors import NoteZipfError
+from .fit import fit_nu
+from .notes import tokenize
+from .simulate import SimConfig, simulate, verify_zipf
+from .smf import extract_notes
+from .stats import count_tokens
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_GRID",
-    "DanglingStatus",
-    "DecodeError",
-    "DegenerateTable",
-    "DomainError",
-    "DurationClass",
-    "DurationGrid",
-    "EmptyCorpus",
-    "InsufficientSupport",
-    "InvalidVlq",
-    "MissingHeader",
-    "NoRoot",
-    "NoteToken",
     "NoteZipfError",
-    "OccurrenceSpectrum",
-    "RankTable",
-    "RawNote",
     "SimConfig",
-    "SimResult",
-    "SimonFit",
-    "SmfError",
-    "SmfHeader",
-    "SmpteDivision",
-    "TokenizeOptions",
-    "TruncatedChunk",
-    "ZipfReport",
-    "chi_square_gof",
-    "classify_duration",
-    "coefficients",
+    "analyze_tokens",
     "count_tokens",
-    "dense_spectrum_window",
     "extract_notes",
     "fit_nu",
-    "fit_rank_slope",
-    "fit_spectrum_gamma",
-    "pair_notes",
-    "parse_smf",
-    "predict_n",
-    "read_text_tokens",
+    "read_tokens",
     "simulate",
-    "solve_n0",
-    "spectrum",
     "tokenize",
-    "tokenize_text",
     "verify_zipf",
 ]

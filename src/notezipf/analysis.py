@@ -1,0 +1,122 @@
+"""The analysis pipeline: one reader per input file, one chain of estimators.
+
+read_tokens turns a MIDI, text or token-list file into a token stream plus
+reader diagnostics.  analyze_tokens counts a stream, builds its occurrence
+spectrum and runs the three estimators (rank-law fit, spectrum exponent,
+rank-tail slope).  The CLI and the simulator's verify_zipf both go through
+analyze_tokens, so count -> spectrum -> window -> fit exists once.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Hashable, Sequence
+
+from .errors import DecodeError, DegenerateTable, InsufficientSupport, NoRoot, NoteZipfError
+from .fit import SimonFit, fit_nu
+from .notes import DEFAULT_GRID, DurationGrid, TokenizeOptions, tokenize
+from .numerics import LogLogFit
+from .smf import extract_notes
+from .stats import (
+    OccurrenceSpectrum,
+    RankTable,
+    count_tokens,
+    dense_spectrum_window,
+    fit_rank_slope,
+    fit_spectrum_gamma,
+    spectrum,
+)
+from .text import tokenize_text
+
+
+def read_tokens(
+    path: str,
+    kind: str = "auto",
+    grid: DurationGrid = DEFAULT_GRID,
+    min_ticks: int = 0,
+) -> tuple[str, Sequence[Hashable], dict]:
+    """Read one file and return (resolved kind, tokens, diagnostics).
+
+    kind "auto" picks "midi" when the file starts with the MThd magic bytes
+    and "text" otherwise.  MIDI notes shorter than min_ticks are dropped and
+    durations are classified on grid; the diagnostics then hold the decoder's
+    tallies plus dropped_short and out_of_grid.  Text and token lists must be
+    UTF-8 (DecodeError otherwise) and report no diagnostics.
+    """
+    data = Path(path).read_bytes()
+    if kind == "auto":
+        kind = "midi" if data.startswith(b"MThd") else "text"
+    if kind == "midi":
+        header, notes, diag = extract_notes(data)
+        result = tokenize(notes, header.division, TokenizeOptions(min_ticks=min_ticks, grid=grid))
+        diagnostics = diag.to_dict()
+        diagnostics["dropped_short"] = result.dropped_short
+        diagnostics["out_of_grid"] = result.out_of_grid
+        return kind, result.tokens, diagnostics
+    if kind not in ("text", "tokens"):
+        raise ValueError(f"unknown kind {kind!r}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{path} is not valid UTF-8: {exc}") from exc
+    if kind == "text":
+        return kind, tokenize_text(text), {}
+    return kind, [t for t in map(str.strip, text.splitlines()) if t], {}
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Rank table, spectrum and the three estimates for one token stream.
+
+    An estimator that could not run leaves its result None and keeps the
+    exception it raised in the matching *_error field, so each caller can
+    report skipped estimates in its own order and wording.
+    """
+
+    table: RankTable
+    spec: OccurrenceSpectrum
+    n_max: int
+    fit: SimonFit | None
+    fit_error: NoteZipfError | None
+    gamma: LogLogFit | None
+    gamma_error: InsufficientSupport | None
+    tail: LogLogFit | None
+    tail_error: InsufficientSupport | None
+
+
+def analyze_tokens(
+    tokens: Sequence[Hashable], residuals: str = "log", n_max: int | None = None
+) -> Analysis:
+    """Count a token stream and run every estimator on it.
+
+    residuals selects the rank-law fit objective (see fit_nu).  n_max pins
+    the spectrum fit window; None picks the dense low-n window.  Raises
+    EmptyCorpus for an empty stream; DegenerateTable and NoRoot from the
+    rank-law fit and InsufficientSupport from the two log-log fits are
+    caught and stored on the result.
+    """
+    table = count_tokens(tokens)
+    spec = spectrum(table)
+
+    fit = fit_error = None
+    try:
+        fit = fit_nu(table, residuals=residuals)
+    except (DegenerateTable, NoRoot) as exc:
+        fit_error = exc
+
+    if n_max is None:
+        n_max = dense_spectrum_window(spec)
+    gamma = gamma_error = None
+    try:
+        gamma = fit_spectrum_gamma(spec, n_max=n_max)
+    except InsufficientSupport as exc:
+        gamma_error = exc
+
+    tail = tail_error = None
+    try:
+        tail = fit_rank_slope(table)
+    except InsufficientSupport as exc:
+        tail_error = exc
+
+    return Analysis(table, spec, n_max, fit, fit_error, gamma, gamma_error, tail, tail_error)

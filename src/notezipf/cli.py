@@ -11,195 +11,104 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from .analysis import Analysis, analyze_tokens, read_tokens
 from .errors import DegenerateTable, InsufficientSupport, NoRoot, NoteZipfError
-from .fit import SimonFit, fit_nu, predict_n
-from .notes import DEFAULT_GRID, DurationGrid, TokenizeOptions, tokenize
+from .fit import predict_n
+from .notes import DEFAULT_GRID, DurationGrid
 from .simulate import SimConfig, simulate, verify_zipf
-from .smf import extract_notes
-from .stats import (
-    OccurrenceSpectrum,
-    RankTable,
-    count_tokens,
-    dense_spectrum_window,
-    fit_rank_slope,
-    fit_spectrum_gamma,
-    spectrum,
-)
-from .text import tokenize_text
 
 
-@dataclass
-class AnalysisReport:
-    """Everything one analyzed file produced, ready for serialization."""
+def _analyze(path: str, args: argparse.Namespace) -> tuple[dict, Analysis]:
+    """Read and analyze one file; returns its report.json payload and the analysis.
 
-    path: str
-    kind: str
-    options: dict
-    table: RankTable
-    spec: OccurrenceSpectrum
-    fit: SimonFit | None
-    spectrum_fit: dict | None
-    rank_tail: dict | None
-    diagnostics: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "source": {"path": self.path, "kind": self.kind},
-            "options": self.options,
-            "corpus": {"V": self.table.V, "T": self.table.T},
-            "fit": self.fit.to_dict() if self.fit is not None else None,
-            "spectrum_fit": self.spectrum_fit,
-            "rank_tail": self.rank_tail,
-            "diagnostics": self.diagnostics,
-            "warnings": self.warnings,
-        }
-
-
-def _detect_kind(data: bytes, forced: str) -> str:
-    if forced != "auto":
-        return forced
-    return "midi" if data.startswith(b"MThd") else "text"
-
-
-def _decode_utf8(data: bytes, path: str) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise NoteZipfError(f"{path} is not valid UTF-8: {exc}") from exc
-
-
-def analyze_file(
-    path: str,
-    kind: str = "auto",
-    min_ticks: int = 0,
-    grid_path: str | None = None,
-    residuals: str = "log",
-    n_max: int | None = None,
-) -> AnalysisReport:
-    """Run the full pipeline on one file: parse, tokenize, count, fit, test.
-
-    Raises NoteZipfError subclasses (or OSError) when no report can be
-    produced at all; recoverable estimation failures are recorded as
-    warnings on the report instead.
+    Raises NoteZipfError subclasses, OSError or ValueError when no report can
+    be produced at all; skipped estimates become warnings in the report.
     """
-    data = Path(path).read_bytes()
-    resolved_kind = _detect_kind(data, kind)
-    grid = DurationGrid.from_file(grid_path) if grid_path else DEFAULT_GRID
-    diagnostics: dict = {}
-
-    if resolved_kind == "midi":
-        header, notes, diag = extract_notes(data)
-        result = tokenize(
-            notes, header.division, TokenizeOptions(min_ticks=min_ticks, grid=grid)
-        )
-        tokens: list = list(result.tokens)
-        diagnostics = dict(diag.to_dict())
-        diagnostics["dropped_short"] = result.dropped_short
-        diagnostics["out_of_grid"] = result.out_of_grid
-    elif resolved_kind == "text":
-        tokens = tokenize_text(_decode_utf8(data, path))
-    elif resolved_kind == "tokens":
-        tokens = [line.strip() for line in _decode_utf8(data, path).splitlines()]
-        tokens = [t for t in tokens if t]
-    else:
-        raise ValueError(f"unknown kind {resolved_kind!r}")
-
-    table = count_tokens(tokens)
-    spec = spectrum(table)
+    grid = DurationGrid.from_file(args.grid) if args.grid else DEFAULT_GRID
+    kind, tokens, diagnostics = read_tokens(path, args.kind, grid, args.min_ticks)
+    analysis = analyze_tokens(tokens, residuals=args.residuals, n_max=args.n_max)
+    fit, gamma, tail = analysis.fit, analysis.gamma, analysis.tail
     warnings: list[str] = []
-
-    fitted: SimonFit | None = None
-    try:
-        fitted = fit_nu(table, residuals=residuals)
-        if fitted.boundary_warning:
-            warnings.append(f"fitted exponent {fitted.nu} touches the search bounds")
-    except (DegenerateTable, NoRoot) as exc:
-        warnings.append(f"rank-law fit skipped: {exc}")
-
-    spectrum_fit: dict | None = None
-    spec_window = n_max if n_max is not None else dense_spectrum_window(spec)
-    try:
-        gamma = fit_spectrum_gamma(spec, n_max=spec_window)
-        spectrum_fit = {"gamma": gamma.slope, "stderr": gamma.stderr, "n_max": spec_window}
-    except InsufficientSupport as exc:
-        warnings.append(f"spectrum fit skipped: {exc}")
-
-    rank_tail: dict | None = None
-    try:
-        tail = fit_rank_slope(table)
-        rank_tail = {"z": tail.slope, "stderr": tail.stderr}
-    except InsufficientSupport as exc:
-        warnings.append(f"rank-tail fit skipped: {exc}")
-
-    options = {
-        "kind": kind,
-        "min_ticks": min_ticks,
-        "grid": grid_path if grid_path else "default",
-        "residuals": residuals,
-        "spectrum_n_max": spec_window,
+    if fit is None:
+        warnings.append(f"rank-law fit skipped: {analysis.fit_error}")
+    elif fit.boundary_warning:
+        warnings.append(f"fitted exponent {fit.nu} touches the search bounds")
+    if gamma is None:
+        warnings.append(f"spectrum fit skipped: {analysis.gamma_error}")
+    if tail is None:
+        warnings.append(f"rank-tail fit skipped: {analysis.tail_error}")
+    report = {
+        "source": {"path": path, "kind": kind},
+        "options": {
+            "kind": args.kind,
+            "min_ticks": args.min_ticks,
+            "grid": args.grid if args.grid else "default",
+            "residuals": args.residuals,
+            "spectrum_n_max": analysis.n_max,
+        },
+        "corpus": {"V": analysis.table.V, "T": analysis.table.T},
+        "fit": fit.to_dict() if fit is not None else None,
+        "spectrum_fit": (
+            {"gamma": gamma.slope, "stderr": gamma.stderr, "n_max": analysis.n_max}
+            if gamma is not None
+            else None
+        ),
+        "rank_tail": {"z": tail.slope, "stderr": tail.stderr} if tail is not None else None,
+        "diagnostics": diagnostics,
+        "warnings": warnings,
     }
-    return AnalysisReport(
-        path=path,
-        kind=resolved_kind,
-        options=options,
-        table=table,
-        spec=spec,
-        fit=fitted,
-        spectrum_fit=spectrum_fit,
-        rank_tail=rank_tail,
-        diagnostics=diagnostics,
-        warnings=warnings,
-    )
+    return report, analysis
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _ranks_csv(report: AnalysisReport) -> str:
-    lines = ["rank,observed,predicted"]
-    for rank, (_, observed) in enumerate(report.table.entries, start=1):
-        if report.fit is not None:
-            lines.append(f"{rank},{observed},{predict_n(rank, report.fit)!r}")
-        else:
-            lines.append(f"{rank},{observed},")
+def _cell(value: object) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv(header: list[str], rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(_cell(value) for value in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _write_analysis(report: AnalysisReport, out_dir: Path) -> None:
+def _write_analysis(report: dict, analysis: Analysis, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "report.json", report.to_dict())
-    (out_dir / "ranks.csv").write_text(_ranks_csv(report), encoding="utf-8")
-    (out_dir / "spectrum.csv").write_text(report.spec.to_csv(), encoding="utf-8")
+    _write_json(out_dir / "report.json", report)
+    fit = analysis.fit
+    ranks = (
+        (rank, observed, predict_n(rank, fit) if fit is not None else None)
+        for rank, (_, observed) in enumerate(analysis.table.entries, start=1)
+    )
+    (out_dir / "ranks.csv").write_text(
+        _csv(["rank", "observed", "predicted"], ranks), encoding="utf-8"
+    )
+    (out_dir / "spectrum.csv").write_text(_csv(["n", "w"], analysis.spec.pairs), encoding="utf-8")
 
 
-def _summary_line(report: AnalysisReport) -> str:
-    parts = [f"{report.path}: kind={report.kind} V={report.table.V} T={report.table.T}"]
-    if report.fit is not None:
-        parts.append(f"nu={report.fit.nu!r} p={report.fit.p_value!r}")
-    for warning in report.warnings:
+def _summary_line(report: dict) -> str:
+    source, corpus, fit = report["source"], report["corpus"], report["fit"]
+    parts = [f"{source['path']}: kind={source['kind']} V={corpus['V']} T={corpus['T']}"]
+    if fit is not None:
+        parts.append(f"nu={fit['nu']!r} p={fit['p_value']!r}")
+    for warning in report["warnings"]:
         parts.append(f"[{warning}]")
     return " ".join(parts)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        report = analyze_file(
-            args.path,
-            kind=args.kind,
-            min_ticks=args.min_ticks,
-            grid_path=args.grid,
-            residuals=args.residuals,
-            n_max=args.n_max,
-        )
+        report, analysis = _analyze(args.path, args)
     except (NoteZipfError, OSError, ValueError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 1
-    _write_analysis(report, Path(args.out))
+    _write_analysis(report, analysis, Path(args.out))
     print(_summary_line(report))
     return 0
 
@@ -208,14 +117,14 @@ _FIT_COLUMNS = ["nu", "z", "n0", "a", "b", "sse_log", "chi2", "dof", "p_value", 
 _COMPARE_COLUMNS = ["path", "kind", "V", "T"] + _FIT_COLUMNS
 
 
-def _compare_row(report: AnalysisReport) -> dict:
+def _compare_row(report: dict) -> dict:
     row = {
-        "path": report.path,
-        "kind": report.kind,
-        "V": report.table.V,
-        "T": report.table.T,
+        "path": report["source"]["path"],
+        "kind": report["source"]["kind"],
+        "V": report["corpus"]["V"],
+        "T": report["corpus"]["T"],
     }
-    fit_dict = report.fit.to_dict() if report.fit is not None else {}
+    fit_dict = report["fit"] or {}
     for column in _FIT_COLUMNS:
         row[column] = fit_dict.get(column)
     return row
@@ -226,15 +135,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     errors: list[dict] = []
     for path in args.paths:
         try:
-            report = analyze_file(
-                path,
-                kind=args.kind,
-                min_ticks=args.min_ticks,
-                grid_path=args.grid,
-                residuals=args.residuals,
-                n_max=args.n_max,
-            )
-            rows.append(_compare_row(report))
+            rows.append(_compare_row(_analyze(path, args)[0]))
         except (NoteZipfError, OSError, ValueError) as exc:
             errors.append({"path": path, "error": str(exc)})
             print(f"error: {path}: {exc}", file=sys.stderr)
@@ -243,19 +144,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "compare.json", {"rows": rows, "errors": errors})
-    lines = [",".join(_COMPARE_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in _COMPARE_COLUMNS:
-            value = row[col]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(repr(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    (out_dir / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    csv_rows = ([row[col] for col in _COMPARE_COLUMNS] for row in rows)
+    (out_dir / "compare.csv").write_text(_csv(_COMPARE_COLUMNS, csv_rows), encoding="utf-8")
     for row in rows:
         nu = row["nu"]
         print(f"{row['path']}: V={row['V']} T={row['T']} nu={nu!r}")

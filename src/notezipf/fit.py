@@ -11,7 +11,6 @@ and the predicted count at the last rank is exactly 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,9 +41,6 @@ class SimonFit:
     p_value: float
     boundary_warning: bool
 
-    def predict(self, r: float) -> float:
-        return _predict(r, self.a, self.b, self.z)
-
     def to_dict(self) -> dict:
         return {
             "nu": self.nu,
@@ -58,9 +54,6 @@ class SimonFit:
             "p_value": self.p_value,
             "boundary_warning": self.boundary_warning,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _tv_ratio(log_n0: float, nu: float) -> float:
@@ -157,7 +150,11 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
     log_counts = [math.log(c) for c in counts]
 
     def objective(nu: float) -> float:
-        n0 = solve_n0(T, V, nu)
+        try:
+            n0 = solve_n0(T, V, nu)
+        except OverflowError:
+            # the cap exceeds the float range at this nu (extreme T/V): no curve
+            return math.inf
         a, b = coefficients(n0, V, nu)
         z = 1.0 / nu
         if residuals == "log":
@@ -180,7 +177,7 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
     n0 = solve_n0(T, V, nu_hat)
     a, b = coefficients(n0, V, nu_hat)
     z = 1.0 / nu_hat
-    chi2, dof, p_value = _gof_stats(counts, a, b, z)
+    chi2, dof, p_value = chi_square_gof(counts, a, b, z)
     return SimonFit(
         nu=nu_hat,
         z=z,
@@ -197,25 +194,16 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
     )
 
 
-def _gof_stats(
-    counts: list[int], a: float, b: float, z: float, dof: int | None = None
-) -> tuple[float, int, float]:
+def chi_square_gof(counts: list[int], a: float, b: float, z: float) -> tuple[float, int, float]:
+    """Pearson chi-square of observed counts against the curve (a, b, z).
+
+    Returns (chi2, dof, p_value) with dof = V - 2: one fitted exponent plus
+    the constraint the corpus total imposes through the cap.
+    """
     chi2 = math.fsum(
         (c - pred) ** 2 / pred
         for r, c in enumerate(counts, start=1)
         for pred in (_predict(r, a, b, z),)
     )
-    if dof is None:
-        dof = len(counts) - 2
+    dof = len(counts) - 2
     return chi2, dof, chi_square_sf(chi2, dof)
-
-
-def chi_square_gof(
-    table: RankTable, fit: SimonFit, dof: int | None = None
-) -> tuple[float, int, float]:
-    """Pearson chi-square of observed counts against the fitted curve.
-
-    dof defaults to V - 2: one fitted exponent plus the constraint the corpus
-    total imposes through the cap.  Pass dof explicitly to override.
-    """
-    return _gof_stats(table.counts(), fit.a, fit.b, fit.z, dof=dof)

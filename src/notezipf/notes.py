@@ -89,7 +89,12 @@ class DurationGrid:
 
     @classmethod
     def from_ratios(cls, ratios: Iterable[Fraction | str]) -> "DurationGrid":
-        parsed = [Fraction(r) for r in ratios]
+        parsed = []
+        for r in ratios:
+            try:
+                parsed.append(Fraction(r))
+            except ZeroDivisionError:
+                raise ValueError(f"grid ratio {r!r} has a zero denominator") from None
         return cls(DurationClass(label=str(r), ratio=r) for r in parsed)
 
     @classmethod
@@ -138,12 +143,6 @@ class NoteToken:
 
     def __str__(self) -> str:
         return f"{self.pitch}:{self.duration_class.label}"
-
-
-def classify_duration(
-    duration: int, division: int, grid: DurationGrid = DEFAULT_GRID
-) -> DurationClass:
-    return grid.classify(duration, division)
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,10 @@ steps, seed) therefore produce byte-identical streams on any platform.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from .analysis import analyze_tokens
 from .errors import InsufficientSupport
-from .fit import fit_nu
-from .stats import (
-    count_tokens,
-    dense_spectrum_window,
-    fit_spectrum_gamma,
-    spectrum,
-)
 
 _MASK64 = (1 << 64) - 1
 
@@ -136,9 +129,6 @@ class ZipfReport:
             "T": self.T,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def verify_zipf(result: SimResult, n_max: int | None = None) -> ZipfReport:
     """Run a simulated stream through the full statistics pipeline.
@@ -147,19 +137,20 @@ def verify_zipf(result: SimResult, n_max: int | None = None) -> ZipfReport:
     exponent nu_hat, and the implied rank exponent z_hat = 1/nu_hat.  When
     n_max is None the spectrum window adapts to the corpus via
     dense_spectrum_window, so small vocabularies are fit on their dense bins.
+    Raises InsufficientSupport below 50 distinct tokens and the estimator's
+    own exception when the spectrum or rank-law fit cannot run.
     """
     if result.V < 50:
         raise InsufficientSupport(f"need at least 50 distinct tokens, got {result.V}")
-    table = count_tokens(result.tokens)
-    spec = spectrum(table)
-    if n_max is None:
-        n_max = dense_spectrum_window(spec)
-    gamma = fit_spectrum_gamma(spec, n_max=n_max)
-    fitted = fit_nu(table)
+    analysis = analyze_tokens(result.tokens, n_max=n_max)
+    # a failed spectrum fit is reported ahead of a failed rank-law fit
+    for error in (analysis.gamma_error, analysis.fit_error):
+        if error is not None:
+            raise error
     return ZipfReport(
-        gamma_hat=gamma.slope,
-        z_hat=fitted.z,
-        nu_hat=fitted.nu,
-        V=table.V,
-        T=table.T,
+        gamma_hat=analysis.gamma.slope,
+        z_hat=analysis.fit.z,
+        nu_hat=analysis.fit.nu,
+        V=analysis.table.V,
+        T=analysis.table.T,
     )

@@ -42,19 +42,10 @@ class SmfHeader:
 
 
 @dataclass(frozen=True)
-class NoteEvent:
-    """Note on/off at an absolute tick ('on' means velocity > 0)."""
-
-    tick: int
-    kind: str
-    channel: int
-    pitch: int
-    velocity: int
-
-
-@dataclass(frozen=True)
 class TrackEvents:
-    events: tuple[NoteEvent, ...]
+    """Note events as (tick, is_on, channel, pitch); is_on means velocity > 0."""
+
+    events: tuple[tuple[int, bool, int, int], ...]
     end_tick: int
 
 
@@ -117,7 +108,7 @@ def _read_data_byte(data: bytes, pos: int, what: str) -> int:
 
 def _parse_track(data: bytes) -> tuple[TrackEvents, bool]:
     """Decode one MTrk payload; returns the track and whether EOT was seen."""
-    events: list[NoteEvent] = []
+    events: list[tuple[int, bool, int, int]] = []
     pos = 0
     tick = 0
     running_status: int | None = None
@@ -169,14 +160,9 @@ def _parse_track(data: bytes) -> tuple[TrackEvents, bool]:
         else:
             second = 0
         if kind_nibble == NOTE_ON:
-            kind = "on" if second > 0 else "off"
-            events.append(
-                NoteEvent(tick=tick, kind=kind, channel=channel, pitch=first, velocity=second)
-            )
+            events.append((tick, second > 0, channel, first))
         elif kind_nibble == NOTE_OFF:
-            events.append(
-                NoteEvent(tick=tick, kind="off", channel=channel, pitch=first, velocity=second)
-            )
+            events.append((tick, False, channel, first))
     return TrackEvents(events=tuple(events), end_tick=tick), False
 
 
@@ -251,25 +237,25 @@ def pair_notes(
     notes: list[RawNote] = []
     for track_index, track in enumerate(tracks):
         pending: dict[tuple[int, int], deque[int]] = {}
-        for event in track.events:
-            key = (event.channel, event.pitch)
-            if event.kind == "on":
-                pending.setdefault(key, deque()).append(event.tick)
+        for tick, is_on, channel, pitch in track.events:
+            key = (channel, pitch)
+            if is_on:
+                pending.setdefault(key, deque()).append(tick)
             else:
                 queue = pending.get(key)
                 if not queue:
                     diag.orphan_note_offs += 1
                     continue
                 onset = queue.popleft()
-                duration = event.tick - onset
+                duration = tick - onset
                 if duration >= 1:
                     notes.append(
                         RawNote(
-                            pitch=event.pitch,
+                            pitch=pitch,
                             onset=onset,
                             duration=duration,
                             track=track_index,
-                            channel=event.channel,
+                            channel=channel,
                         )
                     )
                 else:

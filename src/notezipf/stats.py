@@ -7,7 +7,6 @@ the token multiset, independent of stream order.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping
@@ -36,26 +35,6 @@ class RankTable:
         """Occurrence counts by rank (rank 1 first)."""
         return [count for _, count in self.entries]
 
-    def count_at(self, rank: int) -> int:
-        """n(r) for rank r in 1..V."""
-        return self.entries[rank - 1][1]
-
-    def to_csv(self) -> str:
-        lines = ["rank,count"]
-        lines.extend(f"{rank},{count}" for rank, (_, count) in enumerate(self.entries, start=1))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "V": self.V,
-            "T": self.T,
-            "ranks": [
-                {"rank": rank, "token": _token_label(token), "count": count}
-                for rank, (token, count) in enumerate(self.entries, start=1)
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class OccurrenceSpectrum:
@@ -65,21 +44,6 @@ class OccurrenceSpectrum:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)
-
-    def support(self) -> list[int]:
-        return [n for n, _ in self.pairs]
-
-    def to_csv(self) -> str:
-        lines = ["n,w"]
-        lines.extend(f"{n},{w}" for n, w in self.pairs)
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps({"spectrum": [{"n": n, "w": w} for n, w in self.pairs]}, sort_keys=True)
-
-
-def _token_label(token: Any) -> str:
-    return token if isinstance(token, str) else str(token)
 
 
 def count_tokens(tokens: Iterable[Hashable]) -> RankTable:

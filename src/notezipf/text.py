@@ -10,9 +10,6 @@ compounds therefore count as single words.
 from __future__ import annotations
 
 import re
-from pathlib import Path
-
-from .errors import DecodeError
 
 # letters only: \w minus digits and underscore, Unicode-aware
 _WORD = re.compile(r"[^\W\d_]+(?:['-][^\W\d_]+)*")
@@ -22,11 +19,3 @@ def tokenize_text(text: str) -> list[str]:
     """Lowercased word tokens of a character stream, in order."""
     return _WORD.findall(text.lower())
 
-
-def read_text_tokens(path: str | Path) -> list[str]:
-    """Tokenize a UTF-8 text file; raises DecodeError on undecodable bytes."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"{path} is not valid UTF-8: {exc}") from exc
-    return tokenize_text(text)

@@ -96,6 +96,16 @@ class TestAnalyze:
         assert report["options"]["grid"] == str(grid)
         assert report["options"]["min_ticks"] == 50
 
+    def test_zero_denominator_grid_is_an_error(self, tmp_path, capsys):
+        midi = tmp_path / "piece.mid"
+        midi.write_bytes(varied_midi_bytes())
+        grid = tmp_path / "grid.txt"
+        grid.write_text("1\n1/0\n", encoding="utf-8")
+        code = main(["analyze", str(midi), "--grid", str(grid), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {midi}: ") and "'1/0'" in err
+
     def test_residuals_linear_accepted(self, tmp_path):
         corpus = tmp_path / "corpus.tokens"
         write_token_corpus(corpus, rank_law_counts(0.4, 200, 300.0))

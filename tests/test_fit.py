@@ -195,6 +195,17 @@ class TestFitNu:
         assert fit.boundary_warning
         assert fit.nu == pytest.approx(0.98, abs=0.001)
 
+    def test_cap_beyond_float_range_scored_out(self):
+        # at large nu the cap for T/V ~ 3e8 overflows a float; those trial
+        # exponents must drop out of the search instead of raising
+        fit = fit_nu(table_from_counts([10**9, 1, 1]))
+        assert fit.nu == 0.02
+        assert fit.boundary_warning
+        assert math.isfinite(fit.n0)
+        fit = fit_nu(table_from_counts([10**9, 10, 1, 1]))
+        assert fit.nu == pytest.approx(0.0571, abs=1e-3)
+        assert not fit.boundary_warning
+
     def test_serialization_round_trip(self):
         fit = fit_nu(table_from_counts(rank_law_counts(0.4, 300, 500.0)))
         payload = fit.to_dict()
@@ -207,13 +218,9 @@ class TestFitNu:
 class TestChiSquareGof:
     def test_perfect_agreement(self):
         a, b = coefficients(100.0, 9, 0.5)
-        fit = SimonFit(
-            nu=0.5, z=2.0, n0=100.0, a=a, b=b,
-            sse_log=0.0, chi2=0.0, dof=7, p_value=1.0, boundary_warning=False,
-        )
         # observed counts equal to the curve exactly (floats on purpose)
         exact = [(a + b * r) ** -2.0 for r in range(1, 10)]
-        chi2, dof, p = chi_square_gof(table_from_counts(exact), fit)
+        chi2, dof, p = chi_square_gof(exact, a, b, 2.0)
         assert chi2 == pytest.approx(0.0, abs=1e-18)
         assert dof == 7
         assert p == 1.0
@@ -222,15 +229,5 @@ class TestChiSquareGof:
         counts = rank_law_counts(0.4, 300, 500.0)
         fit = fit_nu(table_from_counts(counts))
         mean = max(1, round(sum(counts) / len(counts)))
-        flat = table_from_counts([mean] * 300)
-        _, _, p = chi_square_gof(flat, fit)
+        _, _, p = chi_square_gof([mean] * 300, fit.a, fit.b, fit.z)
         assert p < 0.05
-
-    def test_dof_override(self):
-        counts = rank_law_counts(0.4, 300, 500.0)
-        table = table_from_counts(counts)
-        fit = fit_nu(table)
-        chi2_a, dof_a, _ = chi_square_gof(table, fit)
-        chi2_b, dof_b, _ = chi_square_gof(table, fit, dof=dof_a - 1)
-        assert chi2_b == chi2_a
-        assert dof_b == dof_a - 1

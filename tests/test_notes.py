@@ -11,7 +11,6 @@ from notezipf.notes import (
     DurationGrid,
     NoteToken,
     TokenizeOptions,
-    classify_duration,
     tokenize,
 )
 from notezipf.smf import RawNote
@@ -23,22 +22,22 @@ def raw(pitch, onset, duration, track=0, channel=0):
 
 class TestClassifyDuration:
     def test_quarter_anchor(self):
-        assert classify_duration(96, 96).label == "quarter"
-        assert classify_duration(480, 480).label == "quarter"
+        assert DEFAULT_GRID.classify(96, 96).label == "quarter"
+        assert DEFAULT_GRID.classify(480, 480).label == "quarter"
 
     def test_eighth(self):
-        assert classify_duration(48, 96).label == "eighth"
+        assert DEFAULT_GRID.classify(48, 96).label == "eighth"
 
     def test_dotted_quarter_wins_in_log_space(self):
         # 1.45 quarters: |ln 1.45 - ln 1.5| = 0.034 < |ln 1.45 - ln 1| = 0.372
         assert abs(math.log(1.45) - math.log(1.5)) < abs(math.log(1.45) - math.log(1.0))
-        assert classify_duration(29, 20).label == "dotted_quarter"
+        assert DEFAULT_GRID.classify(29, 20).label == "dotted_quarter"
 
     def test_every_grid_anchor_maps_to_itself(self):
         division = 48  # all default ratios are exact multiples of 1/48
         for cls in DEFAULT_GRID.classes:
             ticks = int(cls.ratio * division)
-            assert classify_duration(ticks, division) == cls
+            assert DEFAULT_GRID.classify(ticks, division) == cls
 
     def test_exact_tie_breaks_short(self):
         # ratios 1 and 4: duration of 2 quarters is log-equidistant
@@ -46,17 +45,17 @@ class TestClassifyDuration:
         assert grid.classify(192, 96).ratio == Fraction(1)
 
     def test_extremes_clamp_to_end_classes(self):
-        assert classify_duration(96 * 1000, 96).label == "double_whole"
-        assert classify_duration(1, 96 * 1000).label == "sixtyfourth"
+        assert DEFAULT_GRID.classify(96 * 1000, 96).label == "double_whole"
+        assert DEFAULT_GRID.classify(1, 96 * 1000).label == "sixtyfourth"
         assert DEFAULT_GRID.is_out_of_range(96 * 1000, 96)
         assert DEFAULT_GRID.is_out_of_range(1, 96 * 1000)
         assert not DEFAULT_GRID.is_out_of_range(96, 96)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            classify_duration(0, 96)
+            DEFAULT_GRID.classify(0, 96)
         with pytest.raises(ValueError):
-            classify_duration(96, 0)
+            DEFAULT_GRID.classify(96, 0)
 
 
 class TestDurationGrid:

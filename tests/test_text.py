@@ -3,9 +3,10 @@ import string
 
 import pytest
 
+from notezipf.analysis import read_tokens
 from notezipf.errors import DecodeError, EmptyCorpus
 from notezipf.stats import count_tokens
-from notezipf.text import read_text_tokens, tokenize_text
+from notezipf.text import tokenize_text
 
 
 class TestTokenizeText:
@@ -62,10 +63,11 @@ class TestReadTextTokens:
     def test_reads_utf8_file(self, tmp_path):
         path = tmp_path / "novel.txt"
         path.write_text("One fish, two fish.", encoding="utf-8")
-        assert read_text_tokens(path) == ["one", "fish", "two", "fish"]
+        assert read_tokens(str(path), "text") == ("text", ["one", "fish", "two", "fish"], {})
 
     def test_decode_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"\xff\xfe\x00 garbage \x80")
-        with pytest.raises(DecodeError):
-            read_text_tokens(path)
+        for kind in ("auto", "text", "tokens"):
+            with pytest.raises(DecodeError, match="bad.txt is not valid UTF-8"):
+                read_tokens(str(path), kind)
