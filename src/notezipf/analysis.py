@@ -9,13 +9,13 @@ analyze_tokens, so count -> spectrum -> window -> fit exists once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Hashable, Sequence
 
 from .errors import DecodeError, DegenerateTable, InsufficientSupport, NoRoot, NoteZipfError
 from .fit import SimonFit, fit_nu
-from .notes import DEFAULT_GRID, DurationGrid, TokenizeOptions, tokenize
+from .notes import DEFAULT_GRID, DurationGrid, tokenize
 from .numerics import LogLogFit
 from .smf import extract_notes
 from .stats import (
@@ -49,8 +49,8 @@ def read_tokens(
         kind = "midi" if data.startswith(b"MThd") else "text"
     if kind == "midi":
         header, notes, diag = extract_notes(data)
-        result = tokenize(notes, header.division, TokenizeOptions(min_ticks=min_ticks, grid=grid))
-        diagnostics = diag.to_dict()
+        result = tokenize(notes, header.division, min_ticks=min_ticks, grid=grid)
+        diagnostics = asdict(diag)
         diagnostics["dropped_short"] = result.dropped_short
         diagnostics["out_of_grid"] = result.out_of_grid
         return kind, result.tokens, diagnostics

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import Analysis, analyze_tokens, read_tokens
@@ -49,7 +50,7 @@ def _analyze(path: str, args: argparse.Namespace) -> tuple[dict, Analysis]:
             "spectrum_n_max": analysis.n_max,
         },
         "corpus": {"V": analysis.table.V, "T": analysis.table.T},
-        "fit": fit.to_dict() if fit is not None else None,
+        "fit": asdict(fit) if fit is not None else None,
         "spectrum_fit": (
             {"gamma": gamma.slope, "stderr": gamma.stderr, "n_max": analysis.n_max}
             if gamma is not None
@@ -164,7 +165,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     warnings: list[str] = []
     verify_dict: dict | None = None
     try:
-        verify_dict = verify_zipf(result, n_max=args.n_max).to_dict()
+        verify_dict = asdict(verify_zipf(result, n_max=args.n_max))
     except (InsufficientSupport, DegenerateTable, NoRoot) as exc:
         warnings.append(f"verification skipped: {exc}")
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateTable, DomainError, NoRoot, NonConvergence
-from .numerics import Bracket, bisect, chi_square_sf, golden_minimize
+from .numerics import bisect, chi_square_sf, golden_minimize
 from .stats import RankTable
 
 NU_LOWER = 0.02
@@ -40,20 +40,6 @@ class SimonFit:
     dof: int
     p_value: float
     boundary_warning: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "z": self.z,
-            "n0": self.n0,
-            "a": self.a,
-            "b": self.b,
-            "sse_log": self.sse_log,
-            "chi2": self.chi2,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "boundary_warning": self.boundary_warning,
-        }
 
 
 def _tv_ratio(log_n0: float, nu: float) -> float:
@@ -94,8 +80,7 @@ def solve_n0(T: float, V: float, nu: float) -> float:
         hi *= 2.0
     else:
         raise NonConvergence("could not bracket the occurrence cap")
-    f = lambda log_n0: _tv_ratio(log_n0, nu) - target
-    log_root = bisect(f, Bracket.of(f, lo, hi), rel_tol=1e-14)
+    log_root = bisect(lambda log_n0: _tv_ratio(log_n0, nu) - target, lo, hi, rel_tol=1e-14)
     return math.exp(log_root)
 
 

@@ -15,26 +15,20 @@ class so classification is total and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyCorpus
 from .smf import RawNote
 
 
-@total_ordering
-@dataclass(frozen=True)
-class DurationClass:
-    """One grid entry: a label and its exact ratio in quarter-note units."""
+class DurationClass(NamedTuple):
+    """One grid entry, ordered by its exact ratio in quarter-note units."""
 
-    label: str
     ratio: Fraction
-
-    def __lt__(self, other: "DurationClass") -> bool:
-        return (self.ratio, self.label) < (other.ratio, other.label)
+    label: str
 
 
 class DurationGrid:
@@ -75,8 +69,7 @@ class DurationGrid:
         """
         if duration < 1 or division < 1:
             raise ValueError(f"need duration >= 1 and division >= 1, got {duration}/{division}")
-        frac = Fraction(duration, division)
-        x = math.log(frac.numerator / frac.denominator)
+        x = math.log(duration / division)
         best = min(
             range(len(self._classes)),
             key=lambda i: (abs(x - self._log_ratios[i]), self._classes[i].ratio),
@@ -95,7 +88,7 @@ class DurationGrid:
                 parsed.append(Fraction(r))
             except ZeroDivisionError:
                 raise ValueError(f"grid ratio {r!r} has a zero denominator") from None
-        return cls(DurationClass(label=str(r), ratio=r) for r in parsed)
+        return cls(DurationClass(r, str(r)) for r in parsed)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DurationGrid":
@@ -109,7 +102,7 @@ class DurationGrid:
 
 
 DEFAULT_GRID = DurationGrid(
-    DurationClass(label=label, ratio=Fraction(ratio))
+    DurationClass(Fraction(ratio), label)
     for label, ratio in [
         ("double_whole", "8"),
         ("dotted_whole", "6"),
@@ -132,23 +125,14 @@ DEFAULT_GRID = DurationGrid(
 )
 
 
-@total_ordering
-@dataclass(frozen=True)
-class NoteToken:
+class NoteToken(NamedTuple):
+    """A note's identity; tokens order by pitch, then duration class."""
+
     pitch: int
     duration_class: DurationClass
 
-    def __lt__(self, other: "NoteToken") -> bool:
-        return (self.pitch, self.duration_class) < (other.pitch, other.duration_class)
-
     def __str__(self) -> str:
         return f"{self.pitch}:{self.duration_class.label}"
-
-
-@dataclass(frozen=True)
-class TokenizeOptions:
-    min_ticks: int = 0
-    grid: DurationGrid = field(default_factory=lambda: DEFAULT_GRID)
 
 
 @dataclass(frozen=True)
@@ -161,11 +145,12 @@ class TokenizeResult:
 def tokenize(
     notes: Sequence[RawNote],
     division: int,
-    opts: TokenizeOptions = TokenizeOptions(),
+    min_ticks: int = 0,
+    grid: DurationGrid = DEFAULT_GRID,
 ) -> TokenizeResult:
     """Map timed notes to tokens, in onset order.
 
-    Notes shorter than opts.min_ticks are dropped (grace-note filter);
+    Notes shorter than min_ticks are dropped (grace-note filter);
     durations beyond the grid's ends clamp to the end class and are tallied.
     Raises EmptyCorpus when nothing survives.
     """
@@ -174,17 +159,12 @@ def tokenize(
     dropped = 0
     out_of_grid = 0
     for note in ordered:
-        if opts.min_ticks and note.duration < opts.min_ticks:
+        if min_ticks and note.duration < min_ticks:
             dropped += 1
             continue
-        if opts.grid.is_out_of_range(note.duration, division):
+        if grid.is_out_of_range(note.duration, division):
             out_of_grid += 1
-        tokens.append(
-            NoteToken(
-                pitch=note.pitch,
-                duration_class=opts.grid.classify(note.duration, division),
-            )
-        )
+        tokens.append(NoteToken(note.pitch, grid.classify(note.duration, division)))
     if not tokens:
         raise EmptyCorpus("no notes survived tokenization")
     return TokenizeResult(tokens=tuple(tokens), dropped_short=dropped, out_of_grid=out_of_grid)

@@ -78,41 +78,26 @@ def chi_square_sf(x: float, k: float) -> float:
     return _gamma_q_contfrac(a, xg)
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """Interval [lo, hi] whose endpoint function values straddle zero."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise BracketInvalid(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.f_lo * self.f_hi > 0.0:
-            raise BracketInvalid(
-                f"no sign change: f({self.lo})={self.f_lo}, f({self.hi})={self.f_hi}"
-            )
-
-    @classmethod
-    def of(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
-        return cls(lo, hi, f(lo), f(hi))
-
-
 def bisect(
     f: Callable[[float], float],
-    bracket: Bracket,
+    lo: float,
+    hi: float,
     rel_tol: float = 1e-12,
     max_iter: int = 200,
 ) -> float:
-    """Bisection root of f inside bracket, to relative interval width rel_tol."""
-    if bracket.f_lo == 0.0:
-        return bracket.lo
-    if bracket.f_hi == 0.0:
-        return bracket.hi
-    lo, hi = bracket.lo, bracket.hi
-    f_lo = bracket.f_lo
+    """Bisection root of f in [lo, hi], to relative interval width rel_tol.
+
+    Raises BracketInvalid unless lo < hi and f(lo), f(hi) straddle zero.
+    """
+    if not lo < hi:
+        raise BracketInvalid(f"need lo < hi, got [{lo}, {hi}]")
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo * f_hi > 0.0:
+        raise BracketInvalid(f"no sign change: f({lo})={f_lo}, f({hi})={f_hi}")
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -120,15 +120,6 @@ class ZipfReport:
     V: int
     T: int
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma_hat": self.gamma_hat,
-            "z_hat": self.z_hat,
-            "nu_hat": self.nu_hat,
-            "V": self.V,
-            "T": self.T,
-        }
-
 
 def verify_zipf(result: SimResult, n_max: int | None = None) -> ZipfReport:
     """Run a simulated stream through the full statistics pipeline.

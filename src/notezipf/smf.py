@@ -41,12 +41,9 @@ class SmfHeader:
     division: int
 
 
-@dataclass(frozen=True)
-class TrackEvents:
-    """Note events as (tick, is_on, channel, pitch); is_on means velocity > 0."""
-
-    events: tuple[tuple[int, bool, int, int], ...]
-    end_tick: int
+# A decoded track: its note events as (tick, is_on, channel, pitch), where
+# is_on means velocity > 0, and the tick at which the track ends.
+Track = tuple[list[tuple[int, bool, int, int]], int]
 
 
 @dataclass(frozen=True)
@@ -65,23 +62,6 @@ class SmfDiagnostics:
     unmatched_note_ons: int = 0
     orphan_note_offs: int = 0
     zero_length_notes: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "trailing_bytes": self.trailing_bytes,
-            "missing_end_of_track": self.missing_end_of_track,
-            "unmatched_note_ons": self.unmatched_note_ons,
-            "orphan_note_offs": self.orphan_note_offs,
-            "zero_length_notes": self.zero_length_notes,
-        }
-
-
-@dataclass(frozen=True)
-class ParsedSmf:
-    header: SmfHeader
-    tracks: tuple[TrackEvents, ...]
-    trailing_bytes: int
-    missing_end_of_track: int
 
 
 def read_vlq(data: bytes, pos: int) -> tuple[int, int]:
@@ -106,7 +86,7 @@ def _read_data_byte(data: bytes, pos: int, what: str) -> int:
     return byte
 
 
-def _parse_track(data: bytes) -> tuple[TrackEvents, bool]:
+def _parse_track(data: bytes) -> tuple[Track, bool]:
     """Decode one MTrk payload; returns the track and whether EOT was seen."""
     events: list[tuple[int, bool, int, int]] = []
     pos = 0
@@ -131,7 +111,7 @@ def _parse_track(data: bytes) -> tuple[TrackEvents, bool]:
                 )
             pos += length
             if meta_type == _END_OF_TRACK:
-                return TrackEvents(events=tuple(events), end_tick=tick), True
+                return (events, tick), True
             running_status = None
             continue
         if byte in _SYSEX:
@@ -163,15 +143,17 @@ def _parse_track(data: bytes) -> tuple[TrackEvents, bool]:
             events.append((tick, second > 0, channel, first))
         elif kind_nibble == NOTE_OFF:
             events.append((tick, False, channel, first))
-    return TrackEvents(events=tuple(events), end_tick=tick), False
+    return (events, tick), False
 
 
-def parse_smf(data: bytes) -> ParsedSmf:
-    """Decode a complete Standard MIDI File buffer.
+def parse_smf(data: bytes) -> tuple[SmfHeader, list[Track], SmfDiagnostics]:
+    """Decode a complete Standard MIDI File buffer into (header, tracks, diagnostics).
 
     Unknown chunk types are skipped by their declared length.  Bytes after
     the header's declared number of tracks that do not form a complete chunk
-    are counted as trailing garbage rather than failing the parse.
+    are counted as trailing garbage rather than failing the parse.  The
+    diagnostics hold trailing_bytes and missing_end_of_track; pair_notes adds
+    its own tallies to them.
     """
     if len(data) < 8 or data[0:4] != b"MThd":
         raise MissingHeader("no MThd chunk at offset 0")
@@ -190,19 +172,18 @@ def parse_smf(data: bytes) -> ParsedSmf:
     if division == 0:
         raise MissingHeader("division of 0 ticks per quarter note is invalid")
 
-    tracks: list[TrackEvents] = []
-    missing_eot = 0
-    trailing = 0
+    tracks: list[Track] = []
+    diag = SmfDiagnostics()
     pos = 8 + header_len
     while pos < len(data):
         if pos + 8 > len(data):
-            trailing = len(data) - pos
+            diag.trailing_bytes = len(data) - pos
             break
         chunk_type = data[pos : pos + 4]
         chunk_len = int.from_bytes(data[pos + 4 : pos + 8], "big")
         if pos + 8 + chunk_len > len(data):
             if len(tracks) >= declared_tracks:
-                trailing = len(data) - pos
+                diag.trailing_bytes = len(data) - pos
                 break
             raise TruncatedChunk(
                 f"{chunk_type!r} chunk declares {chunk_len} bytes past end of buffer"
@@ -213,18 +194,12 @@ def parse_smf(data: bytes) -> ParsedSmf:
             track, saw_eot = _parse_track(payload)
             tracks.append(track)
             if not saw_eot:
-                missing_eot += 1
-    header = SmfHeader(format=fmt, track_count=len(tracks), division=division)
-    return ParsedSmf(
-        header=header,
-        tracks=tuple(tracks),
-        trailing_bytes=trailing,
-        missing_end_of_track=missing_eot,
-    )
+                diag.missing_end_of_track += 1
+    return SmfHeader(format=fmt, track_count=len(tracks), division=division), tracks, diag
 
 
 def pair_notes(
-    tracks: tuple[TrackEvents, ...] | list[TrackEvents],
+    tracks: list[Track],
     diagnostics: SmfDiagnostics | None = None,
 ) -> tuple[list[RawNote], SmfDiagnostics]:
     """Match note-ons to note-offs, FIFO per (track, channel, pitch).
@@ -235,9 +210,9 @@ def pair_notes(
     """
     diag = diagnostics if diagnostics is not None else SmfDiagnostics()
     notes: list[RawNote] = []
-    for track_index, track in enumerate(tracks):
+    for track_index, (events, end_tick) in enumerate(tracks):
         pending: dict[tuple[int, int], deque[int]] = {}
-        for tick, is_on, channel, pitch in track.events:
+        for tick, is_on, channel, pitch in events:
             key = (channel, pitch)
             if is_on:
                 pending.setdefault(key, deque()).append(tick)
@@ -263,7 +238,7 @@ def pair_notes(
         for (channel, pitch), queue in sorted(pending.items()):
             for onset in queue:
                 diag.unmatched_note_ons += 1
-                duration = track.end_tick - onset
+                duration = end_tick - onset
                 if duration >= 1:
                     notes.append(
                         RawNote(
@@ -281,10 +256,6 @@ def pair_notes(
 
 def extract_notes(data: bytes) -> tuple[SmfHeader, list[RawNote], SmfDiagnostics]:
     """Parse a buffer and pair its events in one step."""
-    parsed = parse_smf(data)
-    diag = SmfDiagnostics(
-        trailing_bytes=parsed.trailing_bytes,
-        missing_end_of_track=parsed.missing_end_of_track,
-    )
-    notes, diag = pair_notes(parsed.tracks, diag)
-    return parsed.header, notes, diag
+    header, tracks, diag = parse_smf(data)
+    notes, diag = pair_notes(tracks, diag)
+    return header, notes, diag

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -208,7 +209,7 @@ class TestFitNu:
 
     def test_serialization_round_trip(self):
         fit = fit_nu(table_from_counts(rank_law_counts(0.4, 300, 500.0)))
-        payload = fit.to_dict()
+        payload = asdict(fit)
         assert set(payload) == {
             "nu", "z", "n0", "a", "b", "sse_log", "chi2", "dof", "p_value",
             "boundary_warning",

@@ -10,7 +10,6 @@ from notezipf.notes import (
     DurationClass,
     DurationGrid,
     NoteToken,
-    TokenizeOptions,
     tokenize,
 )
 from notezipf.smf import RawNote
@@ -95,7 +94,7 @@ class TestTokenize:
         result = tokenize(
             [raw(60, 0, 5), raw(60, 10, 96)],
             division=96,
-            opts=TokenizeOptions(min_ticks=10),
+            min_ticks=10,
         )
         assert len(result.tokens) == 1
         assert result.dropped_short == 1
@@ -107,8 +106,7 @@ class TestTokenize:
     def test_conservation(self):
         rng = random.Random(12)
         notes = [raw(rng.randint(40, 80), i * 10, rng.randint(1, 200)) for i in range(100)]
-        opts = TokenizeOptions(min_ticks=20)
-        result = tokenize(notes, division=96, opts=opts)
+        result = tokenize(notes, division=96, min_ticks=20)
         assert len(result.tokens) + result.dropped_short == len(notes)
 
     def test_onset_order_with_tie_break(self):
@@ -148,7 +146,7 @@ class TestTokenize:
         with pytest.raises(EmptyCorpus):
             tokenize([], division=96)
         with pytest.raises(EmptyCorpus):
-            tokenize([raw(60, 0, 5)], division=96, opts=TokenizeOptions(min_ticks=50))
+            tokenize([raw(60, 0, 5)], division=96, min_ticks=50)
 
 
 class TestNoteToken:
@@ -160,8 +158,8 @@ class TestNoteToken:
         assert NoteToken(60, quarter) != NoteToken(60, eighth)
 
     def test_ordering_by_pitch_then_ratio(self):
-        quarter = DurationClass("quarter", Fraction(1))
-        eighth = DurationClass("eighth", Fraction(1, 2))
+        quarter = DurationClass(Fraction(1), "quarter")
+        eighth = DurationClass(Fraction(1, 2), "eighth")
         tokens = [NoteToken(62, eighth), NoteToken(60, quarter), NoteToken(60, eighth)]
         assert sorted(tokens) == [
             NoteToken(60, eighth),
@@ -170,4 +168,4 @@ class TestNoteToken:
         ]
 
     def test_str_label(self):
-        assert str(NoteToken(60, DurationClass("quarter", Fraction(1)))) == "60:quarter"
+        assert str(NoteToken(60, DurationClass(Fraction(1), "quarter"))) == "60:quarter"
