@@ -163,11 +163,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 1
     result = simulate(config)
     warnings: list[str] = []
-    verify_dict: dict | None = None
+    verify = None
     try:
-        verify_dict = asdict(verify_zipf(result, n_max=args.n_max))
+        verify = verify_zipf(result, n_max=args.n_max)
     except (InsufficientSupport, DegenerateTable, NoRoot) as exc:
         warnings.append(f"verification skipped: {exc}")
+    else:
+        if verify.boundary_warning:
+            warnings.append(f"fitted exponent {verify.nu_hat} touches the search bounds")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +178,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "config": config.to_dict(),
         "V": result.V,
         "T": result.T,
-        "verify": verify_dict,
+        "verify": asdict(verify) if verify is not None else None,
         "warnings": warnings,
     }
     _write_json(out_dir / "sim_report.json", payload)
@@ -183,8 +186,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         stream = "\n".join(str(token) for token in result.tokens) + "\n"
         (out_dir / "tokens.txt").write_text(stream, encoding="utf-8")
     summary = f"mode={config.mode} steps={config.steps} seed={config.seed} V={result.V}"
-    if verify_dict is not None:
-        summary += f" nu_hat={verify_dict['nu_hat']!r} gamma_hat={verify_dict['gamma_hat']!r}"
+    if verify is not None:
+        summary += f" nu_hat={verify.nu_hat!r} gamma_hat={verify.gamma_hat!r}"
     print(summary)
     return 0
 

@@ -119,13 +119,15 @@ class ZipfReport:
     nu_hat: float
     V: int
     T: int
+    boundary_warning: bool
 
 
 def verify_zipf(result: SimResult, n_max: int | None = None) -> ZipfReport:
     """Run a simulated stream through the full statistics pipeline.
 
     Reports the spectrum exponent gamma_hat, the fitted vocabulary-growth
-    exponent nu_hat, and the implied rank exponent z_hat = 1/nu_hat.  When
+    exponent nu_hat, the implied rank exponent z_hat = 1/nu_hat, and the
+    rank-law fit's boundary_warning (nu_hat at its search bounds).  When
     n_max is None the spectrum window adapts to the corpus via
     dense_spectrum_window, so small vocabularies are fit on their dense bins.
     Raises InsufficientSupport below 50 distinct tokens and the estimator's
@@ -144,4 +146,5 @@ def verify_zipf(result: SimResult, n_max: int | None = None) -> ZipfReport:
         nu_hat=analysis.fit.nu,
         V=analysis.table.V,
         T=analysis.table.T,
+        boundary_warning=analysis.fit.boundary_warning,
     )

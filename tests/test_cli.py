@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from notezipf.cli import main
 
 from _oracles import rank_law_counts
@@ -168,6 +170,20 @@ class TestSimulate:
         report = json.loads((out / "sim_report.json").read_text())
         for key in ("nu_hat", "gamma_hat", "z_hat"):
             assert isinstance(report["verify"][key], float)
+
+    def test_fit_at_search_bound_is_warned(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "--mode", "constant", "--alpha", "0.05", "--steps", "20000",
+             "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads((out / "sim_report.json").read_text())
+        assert report["verify"]["nu_hat"] == pytest.approx(0.98, abs=1e-3)
+        assert report["verify"]["boundary_warning"] is True
+        assert report["warnings"] == [
+            f"fitted exponent {report['verify']['nu_hat']!r} touches the search bounds"
+        ]
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", "--mode", "constant", "--alpha", "0.1", "--steps", "5000",

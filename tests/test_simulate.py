@@ -126,6 +126,7 @@ class TestVerifyZipf:
         assert report.z_hat == pytest.approx(1.0 / report.nu_hat)
         assert 0.3 < report.nu_hat < 0.8
         assert report.gamma_hat > 0.5
+        assert not report.boundary_warning
 
     def test_flat_stream_cannot_be_analyzed(self):
         # a flat stream has a one-bin spectrum, so the gamma fit fails first
