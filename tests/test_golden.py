@@ -143,7 +143,7 @@ GOLDEN = {
         "exit": 0,
         "stdout": "2414fc46109823c27c54125ea36940ad5705eeab55350d3b13093383dd449a69",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "sim_report.json": "1e6e185c8304bf50266e87bfd0a37ca0046c59167a25bab0ca31dd28d4b05dcd",
+        "sim_report.json": "c15b6557c1bb6412899eeb7132ad1edc0ed82da1b328b0bbe16d4e65c2a90e0f",
         "tokens.txt": "8abe740e6adbb73667b9f121c941dd0ad450566af049678404613d74f72b73e4",
     },
     "sim-flat": {
@@ -156,7 +156,7 @@ GOLDEN = {
         "exit": 0,
         "stdout": "57b5d8b450f64a51bb344dc9af9f3d797e2bdb542800ed8e333897a56fdcf577",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "sim_report.json": "9740a71f37033344852cec95ad32fde21d7d044ed00cfbe26ea1c3c785b8fc56",
+        "sim_report.json": "55a5615f5cb6da2023b69e03e030a5e47610f866a4b41bcb5d7a5d89ffefb279",
         "tokens.txt": "f931ac970e680a108dea0ced085af7f8ca3b58f45516894f80f9380ee88c419f",
     },
     "single-note": {
