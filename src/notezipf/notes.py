@@ -85,9 +85,15 @@ class DurationGrid:
         parsed = []
         for r in ratios:
             try:
-                parsed.append(Fraction(r))
+                ratio = Fraction(r)
+                in_range = ratio <= 0 or ratio.numerator / ratio.denominator > 0.0
             except ZeroDivisionError:
                 raise ValueError(f"grid ratio {r!r} has a zero denominator") from None
+            except OverflowError:
+                in_range = False
+            if not in_range:
+                raise ValueError(f"grid ratio {r!r} is outside the float range")
+            parsed.append(ratio)
         return cls(DurationClass(r, str(r)) for r in parsed)
 
     @classmethod

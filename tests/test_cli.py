@@ -98,15 +98,17 @@ class TestAnalyze:
         assert report["options"]["grid"] == str(grid)
         assert report["options"]["min_ticks"] == 50
 
-    def test_zero_denominator_grid_is_an_error(self, tmp_path, capsys):
+    # a zero denominator, and ratios beyond the float range either way
+    @pytest.mark.parametrize("entry", ["1/0", "1e400", "1e-400"])
+    def test_zero_denominator_grid_is_an_error(self, tmp_path, capsys, entry):
         midi = tmp_path / "piece.mid"
         midi.write_bytes(varied_midi_bytes())
         grid = tmp_path / "grid.txt"
-        grid.write_text("1\n1/0\n", encoding="utf-8")
+        grid.write_text(f"1\n{entry}\n", encoding="utf-8")
         code = main(["analyze", str(midi), "--grid", str(grid), "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {midi}: ") and "'1/0'" in err
+        assert err.startswith(f"error: {midi}: ") and f"'{entry}'" in err
 
     def test_residuals_linear_accepted(self, tmp_path):
         corpus = tmp_path / "corpus.tokens"
