@@ -246,3 +246,22 @@ class TestCompare:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"MThd\x00\x00\x00\x06\x00\x09\x00\x00\x00\x60")
         assert main(["compare", str(bad), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "simulate"])
+@pytest.mark.parametrize("nested", [False, True], ids=["file-exists", "not-a-directory"])
+def test_unusable_out_is_an_error(tmp_path, capsys, command, nested):
+    corpus = tmp_path / "c.tokens"
+    write_token_corpus(corpus, rank_law_counts(0.5, 100, 200.0))
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    out = taken / "x" if nested else taken
+    argv = {
+        "analyze": ["analyze", str(corpus), "--kind", "tokens"],
+        "compare": ["compare", str(corpus), "--kind", "tokens"],
+        "simulate": ["simulate", "--mode", "constant", "--alpha", "0.1", "--steps", "1000"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert taken.read_text(encoding="utf-8") == "keep\n"
