@@ -7,6 +7,13 @@ relative to the header's division (ticks per quarter note); tempo meta events
 are deliberately ignored because downstream duration classes are ratios of
 ticks to division and therefore tempo-independent.
 
+parse_smf(data) returns (header, tracks, diagnostics): an SmfHeader, one
+(events, end_tick) tuple per MTrk chunk with each event a (tick, is_on,
+channel, pitch) tuple, and an SmfDiagnostics holding trailing_bytes and
+missing_end_of_track.  pair_notes(tracks, diagnostics) turns the tracks into
+RawNotes and adds its pairing tallies to the same diagnostics; extract_notes
+does both.
+
 MissingHeader covers both an absent MThd chunk and one whose fixed fields are
 malformed (bad length, unknown format, zero division).
 """
@@ -147,13 +154,11 @@ def _parse_track(data: bytes) -> tuple[Track, bool]:
 
 
 def parse_smf(data: bytes) -> tuple[SmfHeader, list[Track], SmfDiagnostics]:
-    """Decode a complete Standard MIDI File buffer into (header, tracks, diagnostics).
+    """Decode a complete Standard MIDI File buffer; see the module docstring.
 
     Unknown chunk types are skipped by their declared length.  Bytes after
     the header's declared number of tracks that do not form a complete chunk
-    are counted as trailing garbage rather than failing the parse.  The
-    diagnostics hold trailing_bytes and missing_end_of_track; pair_notes adds
-    its own tallies to them.
+    are counted as trailing garbage rather than failing the parse.
     """
     if len(data) < 8 or data[0:4] != b"MThd":
         raise MissingHeader("no MThd chunk at offset 0")
