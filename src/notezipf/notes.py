@@ -86,7 +86,7 @@ class DurationGrid:
         for r in ratios:
             try:
                 ratio = Fraction(r)
-                in_range = ratio <= 0 or ratio.numerator / ratio.denominator > 0.0
+                in_range = ratio <= 0 or float(ratio) > 0.0
             except ZeroDivisionError:
                 raise ValueError(f"grid ratio {r!r} has a zero denominator") from None
             except OverflowError:
