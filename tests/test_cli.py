@@ -98,9 +98,7 @@ class TestAnalyze:
         assert report["options"]["grid"] == str(grid)
         assert report["options"]["min_ticks"] == 50
 
-    # a zero denominator, and ratios beyond the float range either way
-    @pytest.mark.parametrize("entry", ["1/0", "1e400", "1e-400"])
-    def test_zero_denominator_grid_is_an_error(self, tmp_path, capsys, entry):
+    def _bad_grid_entry_is_an_error(self, tmp_path, capsys, entry):
         midi = tmp_path / "piece.mid"
         midi.write_bytes(varied_midi_bytes())
         grid = tmp_path / "grid.txt"
@@ -109,6 +107,14 @@ class TestAnalyze:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {midi}: ") and f"'{entry}'" in err
+
+    def test_zero_denominator_grid_is_an_error(self, tmp_path, capsys):
+        self._bad_grid_entry_is_an_error(tmp_path, capsys, "1/0")
+
+    # ratios beyond the float range either way
+    @pytest.mark.parametrize("entry", ["1e400", "1e-400"])
+    def test_out_of_float_range_grid_is_an_error(self, tmp_path, capsys, entry):
+        self._bad_grid_entry_is_an_error(tmp_path, capsys, entry)
 
     def test_residuals_linear_accepted(self, tmp_path):
         corpus = tmp_path / "corpus.tokens"
