@@ -19,7 +19,6 @@ from .notes import DEFAULT_GRID, DurationGrid, tokenize
 from .numerics import LogLogFit
 from .smf import extract_notes
 from .stats import (
-    OccurrenceSpectrum,
     RankTable,
     count_tokens,
     dense_spectrum_window,
@@ -75,7 +74,7 @@ class Analysis:
     """
 
     table: RankTable
-    spec: OccurrenceSpectrum
+    spec: dict[int, int]
     n_max: int
     fit: SimonFit | None
     fit_error: NoteZipfError | None

@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .analysis import Analysis, analyze_tokens, read_tokens
 from .errors import DegenerateTable, InsufficientSupport, NoRoot, NoteZipfError
-from .fit import predict_n
+from .fit import SimonFit, predict_n
 from .notes import DEFAULT_GRID, DurationGrid
 from .simulate import SimConfig, simulate, verify_zipf
 
@@ -90,7 +90,7 @@ def _write_analysis(report: dict, analysis: Analysis, out_dir: Path) -> None:
     (out_dir / "ranks.csv").write_text(
         _csv(["rank", "observed", "predicted"], ranks), encoding="utf-8"
     )
-    (out_dir / "spectrum.csv").write_text(_csv(["n", "w"], analysis.spec.pairs), encoding="utf-8")
+    (out_dir / "spectrum.csv").write_text(_csv(["n", "w"], analysis.spec.items()), encoding="utf-8")
 
 
 def _summary_line(report: dict) -> str:
@@ -114,7 +114,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIT_COLUMNS = ["nu", "z", "n0", "a", "b", "sse_log", "chi2", "dof", "p_value", "boundary_warning"]
+_FIT_COLUMNS = [f.name for f in fields(SimonFit)]
 _COMPARE_COLUMNS = ["path", "kind", "V", "T"] + _FIT_COLUMNS
 
 

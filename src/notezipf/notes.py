@@ -35,31 +35,21 @@ class DurationGrid:
     """Immutable set of duration classes with nearest-in-log-space lookup."""
 
     def __init__(self, classes: Iterable[DurationClass]) -> None:
-        ordered = tuple(sorted(classes))
-        if not ordered:
+        self.classes = tuple(sorted(classes))
+        if not self.classes:
             raise ValueError("a duration grid needs at least one class")
-        ratios = [c.ratio for c in ordered]
-        labels = [c.label for c in ordered]
+        ratios = [c.ratio for c in self.classes]
+        labels = [c.label for c in self.classes]
         if len(set(ratios)) != len(ratios) or len(set(labels)) != len(labels):
             raise ValueError("grid labels and ratios must be unique")
         if any(r <= 0 for r in ratios):
             raise ValueError("grid ratios must be positive")
-        self._classes = ordered
-        self._log_ratios = tuple(
-            math.log(c.ratio.numerator / c.ratio.denominator) for c in ordered
-        )
-
-    @property
-    def classes(self) -> tuple[DurationClass, ...]:
-        return self._classes
-
-    @property
-    def min_ratio(self) -> Fraction:
-        return self._classes[0].ratio
-
-    @property
-    def max_ratio(self) -> Fraction:
-        return self._classes[-1].ratio
+        self._log_ratios = []
+        for c in self.classes:
+            try:  # float() overflows above the range; log(0.0) fails below it
+                self._log_ratios.append(math.log(float(c.ratio)))
+            except (OverflowError, ValueError):
+                raise ValueError(f"grid ratio {c.label!r} is outside the float range") from None
 
     def classify(self, duration: int, division: int) -> DurationClass:
         """Grid class whose ratio is log-nearest to duration/division.
@@ -71,30 +61,25 @@ class DurationGrid:
             raise ValueError(f"need duration >= 1 and division >= 1, got {duration}/{division}")
         x = math.log(duration / division)
         best = min(
-            range(len(self._classes)),
-            key=lambda i: (abs(x - self._log_ratios[i]), self._classes[i].ratio),
+            range(len(self.classes)),
+            key=lambda i: (abs(x - self._log_ratios[i]), self.classes[i].ratio),
         )
-        return self._classes[best]
+        return self.classes[best]
 
     def is_out_of_range(self, duration: int, division: int) -> bool:
         frac = Fraction(duration, division)
-        return frac < self.min_ratio or frac > self.max_ratio
+        return frac < self.classes[0].ratio or frac > self.classes[-1].ratio
 
     @classmethod
     def from_ratios(cls, ratios: Iterable[Fraction | str]) -> "DurationGrid":
-        parsed = []
+        """Grid of the given ratios, each labelled as written (str(entry))."""
+        classes = []
         for r in ratios:
             try:
-                ratio = Fraction(r)
-                in_range = ratio <= 0 or float(ratio) > 0.0
+                classes.append(DurationClass(Fraction(r), str(r)))
             except ZeroDivisionError:
                 raise ValueError(f"grid ratio {r!r} has a zero denominator") from None
-            except OverflowError:
-                in_range = False
-            if not in_range:
-                raise ValueError(f"grid ratio {r!r} is outside the float range")
-            parsed.append(ratio)
-        return cls(DurationClass(r, str(r)) for r in parsed)
+        return cls(classes)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DurationGrid":
@@ -160,11 +145,10 @@ def tokenize(
     durations beyond the grid's ends clamp to the end class and are tallied.
     Raises EmptyCorpus when nothing survives.
     """
-    ordered = sorted(notes, key=lambda n: (n.onset, n.track, n.channel, n.pitch, n.duration))
     tokens: list[NoteToken] = []
     dropped = 0
     out_of_grid = 0
-    for note in ordered:
+    for note in sorted(notes):
         if min_ticks and note.duration < min_ticks:
             dropped += 1
             continue

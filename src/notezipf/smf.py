@@ -11,8 +11,9 @@ parse_smf(data) returns (header, tracks, diagnostics): an SmfHeader, one
 (events, end_tick) tuple per MTrk chunk with each event a (tick, is_on,
 channel, pitch) tuple, and an SmfDiagnostics holding trailing_bytes and
 missing_end_of_track.  pair_notes(tracks, diagnostics) turns the tracks into
-RawNotes and adds its pairing tallies to the same diagnostics; extract_notes
-does both.
+RawNotes and adds its pairing tallies to the diagnostics it is given;
+extract_notes does both.  A RawNote is a (onset, track, channel, pitch,
+duration) tuple, so sorting notes orders them by onset with that tie-break.
 
 MissingHeader covers both an absent MThd chunk and one whose fixed fields are
 malformed (bad length, unknown format, zero division).
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DanglingStatus,
@@ -53,13 +55,14 @@ class SmfHeader:
 Track = tuple[list[tuple[int, bool, int, int]], int]
 
 
-@dataclass(frozen=True)
-class RawNote:
-    pitch: int
+class RawNote(NamedTuple):
+    """A timed note; the field order is the order notes sort in."""
+
     onset: int
-    duration: int
     track: int
     channel: int
+    pitch: int
+    duration: int
 
 
 @dataclass
@@ -204,17 +207,23 @@ def parse_smf(data: bytes) -> tuple[SmfHeader, list[Track], SmfDiagnostics]:
 
 
 def pair_notes(
-    tracks: list[Track],
-    diagnostics: SmfDiagnostics | None = None,
+    tracks: list[Track], diagnostics: SmfDiagnostics
 ) -> tuple[list[RawNote], SmfDiagnostics]:
     """Match note-ons to note-offs, FIFO per (track, channel, pitch).
 
     Unmatched note-ons are closed at the track's final tick and tallied;
     orphan note-offs are tallied and dropped; zero-length pairs are tallied
-    and dropped (RawNote durations are always >= 1).
+    and dropped (RawNote durations are always >= 1).  The tallies are added
+    to diagnostics, which is returned with the notes.
     """
-    diag = diagnostics if diagnostics is not None else SmfDiagnostics()
     notes: list[RawNote] = []
+
+    def close(onset: int, end: int, track: int, channel: int, pitch: int) -> None:
+        if end > onset:
+            notes.append(RawNote(onset, track, channel, pitch, end - onset))
+        else:
+            diagnostics.zero_length_notes += 1
+
     for track_index, (events, end_tick) in enumerate(tracks):
         pending: dict[tuple[int, int], deque[int]] = {}
         for tick, is_on, channel, pitch in events:
@@ -224,39 +233,14 @@ def pair_notes(
             else:
                 queue = pending.get(key)
                 if not queue:
-                    diag.orphan_note_offs += 1
+                    diagnostics.orphan_note_offs += 1
                     continue
-                onset = queue.popleft()
-                duration = tick - onset
-                if duration >= 1:
-                    notes.append(
-                        RawNote(
-                            pitch=pitch,
-                            onset=onset,
-                            duration=duration,
-                            track=track_index,
-                            channel=channel,
-                        )
-                    )
-                else:
-                    diag.zero_length_notes += 1
+                close(queue.popleft(), tick, track_index, channel, pitch)
         for (channel, pitch), queue in sorted(pending.items()):
             for onset in queue:
-                diag.unmatched_note_ons += 1
-                duration = end_tick - onset
-                if duration >= 1:
-                    notes.append(
-                        RawNote(
-                            pitch=pitch,
-                            onset=onset,
-                            duration=duration,
-                            track=track_index,
-                            channel=channel,
-                        )
-                    )
-                else:
-                    diag.zero_length_notes += 1
-    return notes, diag
+                diagnostics.unmatched_note_ons += 1
+                close(onset, end_tick, track_index, channel, pitch)
+    return notes, diagnostics
 
 
 def extract_notes(data: bytes) -> tuple[SmfHeader, list[RawNote], SmfDiagnostics]:

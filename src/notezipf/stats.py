@@ -2,7 +2,8 @@
 
 Tokens only need to be hashable and totally ordered among themselves; the
 ordering is used to break count ties so that tables are a pure function of
-the token multiset, independent of stream order.
+the token multiset, independent of stream order.  An occurrence spectrum is
+a plain dict from n to w(n), in increasing n.
 """
 
 from __future__ import annotations
@@ -36,16 +37,6 @@ class RankTable:
         return [count for _, count in self.entries]
 
 
-@dataclass(frozen=True)
-class OccurrenceSpectrum:
-    """w(n): how many distinct tokens occur exactly n times."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-
 def count_tokens(tokens: Iterable[Hashable]) -> RankTable:
     """Build the rank table for a token stream.
 
@@ -59,23 +50,21 @@ def count_tokens(tokens: Iterable[Hashable]) -> RankTable:
     return RankTable(entries=tuple(entries))
 
 
-def spectrum(table: RankTable) -> OccurrenceSpectrum:
-    """Occurrence spectrum of a rank table."""
-    w = Counter(count for _, count in table.entries)
-    return OccurrenceSpectrum(pairs=tuple(sorted(w.items())))
+def spectrum(table: RankTable) -> dict[int, int]:
+    """Occurrence spectrum w(n): how many distinct tokens occur exactly n times.
+
+    Keys are in increasing n and only n with w(n) > 0 appear.
+    """
+    return dict(sorted(Counter(count for _, count in table.entries).items()))
 
 
-def fit_spectrum_gamma(
-    spec: OccurrenceSpectrum | Mapping[int, float],
-    n_max: int = DEFAULT_SPECTRUM_N_MAX,
-) -> LogLogFit:
+def fit_spectrum_gamma(spec: Mapping[int, float], n_max: int) -> LogLogFit:
     """Power-law exponent of the spectrum: w(n) ~ 1/n**gamma for n <= n_max.
 
     Returns the log-log least-squares fit with slope negated, i.e. .slope is
     the gamma estimate.  High-n bins are sparse, hence the cutoff window.
     """
-    pairs = spec.pairs if isinstance(spec, OccurrenceSpectrum) else sorted(spec.items())
-    points = [(float(n), float(w)) for n, w in pairs if n <= n_max and w > 0]
+    points = [(float(n), float(w)) for n, w in sorted(spec.items()) if n <= n_max and w > 0]
     if len(points) < 3:
         raise InsufficientSupport(
             f"spectrum has {len(points)} support points with n <= {n_max}; need >= 3"
@@ -84,39 +73,30 @@ def fit_spectrum_gamma(
     return LogLogFit(slope=-fit.slope, intercept=fit.intercept, stderr=fit.stderr)
 
 
-def dense_spectrum_window(
-    spec: OccurrenceSpectrum, cap: int = DEFAULT_SPECTRUM_N_MAX
-) -> int:
-    """Largest n <= cap such that w(m) > 0 for every m <= n.
+def dense_spectrum_window(spec: Mapping[int, int]) -> int:
+    """Largest n <= DEFAULT_SPECTRUM_N_MAX such that w(m) > 0 for every m <= n.
 
     Sparse corpora leave empty bins and a w=1 floor at moderate n, which
     flattens a log-log fit; restricting the window to the unbroken low-n
     support keeps the estimator on the dense part of the spectrum.
     """
-    counts = spec.as_dict()
     n = 1
-    while counts.get(n + 1, 0) > 0 and n + 1 <= cap:
+    while spec.get(n + 1, 0) > 0 and n + 1 <= DEFAULT_SPECTRUM_N_MAX:
         n += 1
     return n
 
 
-def fit_rank_slope(
-    table: RankTable,
-    r_min: int | None = None,
-    r_max: int | None = None,
-) -> LogLogFit:
+def fit_rank_slope(table: RankTable) -> LogLogFit:
     """Large-rank power-law exponent of n(r): n(r) ~ 1/r**z over [r_min, r_max].
 
     Returns the log-log fit with slope negated, i.e. .slope is the z estimate.
-    Defaults: r_min skips the curved low-rank head (1% of V, at least 3);
-    r_max stops where the count-1 plateau begins, since a flat run of ones
-    carries no slope information.
+    r_min skips the curved low-rank head (1% of V, at least 3); r_max stops
+    where the count-1 plateau begins, since a flat run of ones carries no
+    slope information.
     """
     counts = table.counts()
-    if r_max is None:
-        r_max = max((r for r, c in enumerate(counts, start=1) if c >= 2), default=0)
-    if r_min is None:
-        r_min = max(3, table.V // 100)
+    r_max = max((r for r, c in enumerate(counts, start=1) if c >= 2), default=0)
+    r_min = max(3, table.V // 100)
     points = [(float(r), float(counts[r - 1])) for r in range(r_min, r_max + 1)]
     if len(points) < 3:
         raise InsufficientSupport(

@@ -360,6 +360,6 @@ class TestProperties:
         assert len(notes) == 2
 
     def test_pair_notes_empty_tracks(self):
-        notes, diag = pair_notes([])
+        notes, diag = pair_notes([], SmfDiagnostics())
         assert notes == []
         assert diag == SmfDiagnostics()

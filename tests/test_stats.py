@@ -57,11 +57,11 @@ class TestCountTokens:
 class TestSpectrum:
     def test_two_counts(self):
         spec = spectrum(count_tokens(["A", "A", "B"]))
-        assert spec.as_dict() == {1: 1, 2: 1}
+        assert spec == {1: 1, 2: 1}
 
     def test_all_equal_counts(self):
         spec = spectrum(count_tokens(["A", "A", "A", "B", "B", "B", "C", "C", "C"]))
-        assert spec.as_dict() == {3: 3}
+        assert spec == {3: 3}
 
     def test_sum_identities(self):
         rng = random.Random(4242)
@@ -69,8 +69,9 @@ class TestSpectrum:
             stream = [rng.randint(0, 30) for _ in range(rng.randint(1, 400))]
             table = count_tokens(stream)
             spec = spectrum(table)
-            assert sum(spec.as_dict().values()) == table.V
-            assert sum(n * w for n, w in spec.pairs) == table.T
+            assert sum(spec.values()) == table.V
+            assert sum(n * w for n, w in spec.items()) == table.T
+            assert list(spec) == sorted(spec)
 
 
 class TestFitSpectrumGamma:
@@ -103,9 +104,10 @@ class TestFitRankSlope:
     def _table_with_counts(self, counts):
         return RankTable(entries=tuple((i, c) for i, c in enumerate(counts)))
 
-    def test_exact_power_law_over_explicit_window(self):
+    def test_exact_power_law_over_default_window(self):
+        # every count is >= 2, so the window is [3, 200]
         counts = [2000.0 * r**-1.2 for r in range(1, 201)]
-        fit = fit_rank_slope(self._table_with_counts(counts), r_min=1, r_max=200)
+        fit = fit_rank_slope(self._table_with_counts(counts))
         assert fit.slope == pytest.approx(1.2, abs=1e-10)
 
     def test_default_window_excludes_count_one_plateau(self):
