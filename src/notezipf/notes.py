@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import EmptyCorpus
+from .errors import DecodeError, EmptyCorpus
 from .smf import RawNote
 
 
@@ -87,7 +87,10 @@ class DurationGrid:
 
         Blank lines and lines starting with '#' are skipped.
         """
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise DecodeError(f"{path} is not valid UTF-8: {exc}") from exc
         ratios = [line.strip() for line in lines]
         return cls.from_ratios(r for r in ratios if r and not r.startswith("#"))
 

@@ -116,6 +116,15 @@ class TestAnalyze:
     def test_out_of_float_range_grid_is_an_error(self, tmp_path, capsys, entry):
         self._bad_grid_entry_is_an_error(tmp_path, capsys, entry)
 
+    def test_non_utf8_grid_file_is_named(self, tmp_path, capsys):
+        midi = tmp_path / "piece.mid"
+        midi.write_bytes(varied_midi_bytes())
+        grid = tmp_path / "grid.txt"
+        grid.write_bytes(b"\xff\xfe1\n")
+        code = main(["analyze", str(midi), "--grid", str(grid), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{grid} is not valid UTF-8" in capsys.readouterr().err
+
     def test_residuals_linear_accepted(self, tmp_path):
         corpus = tmp_path / "corpus.tokens"
         write_token_corpus(corpus, rank_law_counts(0.4, 200, 300.0))
