@@ -83,6 +83,12 @@ class TestDurationGrid:
         with pytest.raises(ValueError):
             DurationGrid.from_ratios(["0"])
 
+    # built directly, not through from_ratios, on either side of the float range
+    @pytest.mark.parametrize("ratio", [Fraction(10**400), Fraction(1, 10**400)])
+    def test_rejects_ratio_outside_float_range(self, ratio):
+        with pytest.raises(ValueError, match="outside the float range"):
+            DurationGrid([DurationClass(ratio, "x")])
+
 
 class TestTokenize:
     def test_identical_notes_one_type(self):
@@ -110,15 +116,19 @@ class TestTokenize:
         assert len(result.tokens) + result.dropped_short == len(notes)
 
     def test_onset_order_with_tie_break(self):
-        # same onset: track, then channel, then pitch
+        # same onset: track, then channel, then pitch, then duration
         notes = [
             raw(70, 0, 96, track=1),
             raw(60, 0, 96, track=0, channel=1),
             raw(50, 0, 96, track=0, channel=0),
             raw(40, 10, 96),
+            raw(30, 20, 96),
+            raw(30, 20, 48),
         ]
         result = tokenize(notes, division=96)
-        assert [t.pitch for t in result.tokens] == [50, 60, 70, 40]
+        assert [str(t) for t in result.tokens] == [
+            "50:quarter", "60:quarter", "70:quarter", "40:quarter", "30:eighth", "30:quarter"
+        ]
 
     def test_deterministic(self):
         rng = random.Random(5)
