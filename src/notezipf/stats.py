@@ -2,8 +2,7 @@
 
 Tokens only need to be hashable and totally ordered among themselves; the
 ordering is used to break count ties so that tables are a pure function of
-the token multiset, independent of stream order.  An occurrence spectrum is
-a plain dict from n to w(n), in increasing n.
+the token multiset, independent of stream order.
 """
 
 from __future__ import annotations
