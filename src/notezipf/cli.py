@@ -21,13 +21,27 @@ from .notes import DEFAULT_GRID, DurationGrid
 from .simulate import SimConfig, simulate, verify_zipf
 
 
-def _analyze(path: str, args: argparse.Namespace) -> tuple[dict, Analysis]:
+def _load_grid(args: argparse.Namespace) -> DurationGrid | None:
+    """The --grid file's grid, or the default grid without one.
+
+    Returns None after printing why the file is unusable, before any input
+    is read, so a bad grid is one error per command.
+    """
+    if not args.grid:
+        return DEFAULT_GRID
+    try:
+        return DurationGrid.from_file(args.grid)
+    except (NoteZipfError, OSError, ValueError) as exc:
+        print(f"error: {args.grid}: {exc}", file=sys.stderr)
+        return None
+
+
+def _analyze(path: str, args: argparse.Namespace, grid: DurationGrid) -> tuple[dict, Analysis]:
     """Read and analyze one file; returns its report.json payload and the analysis.
 
     Raises NoteZipfError subclasses, OSError or ValueError when no report can
     be produced at all; skipped estimates become warnings in the report.
     """
-    grid = DurationGrid.from_file(args.grid) if args.grid else DEFAULT_GRID
     kind, tokens, diagnostics = read_tokens(path, args.kind, grid, args.min_ticks)
     analysis = analyze_tokens(tokens, residuals=args.residuals, n_max=args.n_max)
     fit, gamma, tail = analysis.fit, analysis.gamma, analysis.tail
@@ -104,8 +118,11 @@ def _summary_line(report: dict) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    grid = _load_grid(args)
+    if grid is None:
+        return 1
     try:
-        report, analysis = _analyze(args.path, args)
+        report, analysis = _analyze(args.path, args, grid)
     except (NoteZipfError, OSError, ValueError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 1
@@ -132,11 +149,14 @@ def _compare_row(report: dict) -> dict:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    grid = _load_grid(args)
+    if grid is None:
+        return 1
     rows: list[dict] = []
     errors: list[dict] = []
     for path in args.paths:
         try:
-            rows.append(_compare_row(_analyze(path, args)[0]))
+            rows.append(_compare_row(_analyze(path, args, grid)[0]))
         except (NoteZipfError, OSError, ValueError) as exc:
             errors.append({"path": path, "error": str(exc)})
             print(f"error: {path}: {exc}", file=sys.stderr)
@@ -151,6 +171,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         nu = row["nu"]
         print(f"{row['path']}: V={row['V']} T={row['T']} nu={nu!r}")
     return 0 if rows else 1
+
+
+_TOKEN_CHUNK = 65536
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -182,9 +205,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "warnings": warnings,
     }
     _write_json(out_dir / "sim_report.json", payload)
-    if args.emit_tokens:
-        stream = "\n".join(str(token) for token in result.tokens) + "\n"
-        (out_dir / "tokens.txt").write_text(stream, encoding="utf-8")
+    if args.emit_tokens:  # in chunks, so the stream is never one string
+        tokens = result.tokens
+        with (out_dir / "tokens.txt").open("w", encoding="utf-8") as stream:
+            for start in range(0, len(tokens), _TOKEN_CHUNK):
+                stream.write("\n".join(map(str, tokens[start : start + _TOKEN_CHUNK])) + "\n")
     summary = f"mode={config.mode} steps={config.steps} seed={config.seed} V={result.V}"
     if verify is not None:
         summary += f" nu_hat={verify.nu_hat!r} gamma_hat={verify.gamma_hat!r}"

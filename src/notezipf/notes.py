@@ -25,10 +25,18 @@ from .smf import RawNote
 
 
 class DurationClass(NamedTuple):
-    """One grid entry, ordered by its exact ratio in quarter-note units."""
+    """One grid entry, ordered by its exact ratio in quarter-note units.
+
+    It hashes by its label alone, which is unique within a grid, so it does
+    not hash like a plain (ratio, label) tuple; hashing a Fraction on every
+    token is what this avoids.
+    """
 
     ratio: Fraction
     label: str
+
+    def __hash__(self) -> int:
+        return hash(self.label)
 
 
 class DurationGrid:
@@ -125,9 +133,6 @@ class NoteToken(NamedTuple):
     pitch: int
     duration_class: DurationClass
 
-    def __str__(self) -> str:
-        return f"{self.pitch}:{self.duration_class.label}"
-
 
 @dataclass(frozen=True)
 class TokenizeResult:
@@ -146,18 +151,26 @@ def tokenize(
 
     Notes shorter than min_ticks are dropped (grace-note filter);
     durations beyond the grid's ends clamp to the end class and are tallied.
-    Raises EmptyCorpus when nothing survives.
+    Each distinct (pitch, duration) is classified once.  Raises EmptyCorpus
+    when nothing survives.
     """
     tokens: list[NoteToken] = []
     dropped = 0
     out_of_grid = 0
+    seen: dict[tuple[int, int], tuple[NoteToken, bool]] = {}
     for note in sorted(notes):
         if min_ticks and note.duration < min_ticks:
             dropped += 1
             continue
-        if grid.is_out_of_range(note.duration, division):
-            out_of_grid += 1
-        tokens.append(NoteToken(note.pitch, grid.classify(note.duration, division)))
+        key = (note.pitch, note.duration)
+        entry = seen.get(key)
+        if entry is None:
+            outside = grid.is_out_of_range(note.duration, division)
+            token = NoteToken(note.pitch, grid.classify(note.duration, division))
+            entry = seen[key] = (token, outside)
+        token, outside = entry
+        out_of_grid += outside
+        tokens.append(token)
     if not tokens:
         raise EmptyCorpus("no notes survived tokenization")
     return TokenizeResult(tokens=tuple(tokens), dropped_short=dropped, out_of_grid=out_of_grid)

@@ -99,23 +99,28 @@ def _read_data_byte(data: bytes, pos: int, what: str) -> int:
 def _parse_track(data: bytes) -> tuple[Track, bool]:
     """Decode one MTrk payload; returns the track and whether EOT was seen."""
     events: list[tuple[int, bool, int, int]] = []
+    end = len(data)
     pos = 0
     tick = 0
     running_status: int | None = None
-    while pos < len(data):
-        delta, pos = read_vlq(data, pos)
-        tick += delta
-        if pos >= len(data):
+    while pos < end:
+        if data[pos] < 0x80:  # one-byte delta, the common case
+            tick += data[pos]
+            pos += 1
+        else:
+            delta, pos = read_vlq(data, pos)
+            tick += delta
+        if pos >= end:
             raise TruncatedChunk("track data ends after a delta time")
         byte = data[pos]
         if byte == _META:
             pos += 1
-            if pos >= len(data):
+            if pos >= end:
                 raise TruncatedChunk("track data ends inside a meta event")
             meta_type = data[pos]
             pos += 1
             length, pos = read_vlq(data, pos)
-            if pos + length > len(data):
+            if pos + length > end:
                 raise TruncatedChunk(
                     f"meta event 0x{meta_type:02X} declares {length} bytes past track end"
                 )
@@ -127,7 +132,7 @@ def _parse_track(data: bytes) -> tuple[Track, bool]:
         if byte in _SYSEX:
             pos += 1
             length, pos = read_vlq(data, pos)
-            if pos + length > len(data):
+            if pos + length > end:
                 raise TruncatedChunk(f"sysex declares {length} bytes past track end")
             pos += length
             running_status = None
@@ -142,13 +147,14 @@ def _parse_track(data: bytes) -> tuple[Track, bool]:
         status = running_status
         kind_nibble = status & 0xF0
         channel = status & 0x0F
-        first = _read_data_byte(data, pos, "channel message")
-        pos += 1
-        if _DATA_LEN[kind_nibble] == 2:
-            second = _read_data_byte(data, pos, "channel message")
-            pos += 1
+        data_len = _DATA_LEN[kind_nibble]
+        if pos + 1 < end and data[pos] < 0x80 and data[pos + 1] < 0x80:
+            # when data_len is 1, second is the next delta byte and goes unused
+            first, second = data[pos], data[pos + 1]
         else:
-            second = 0
+            first = _read_data_byte(data, pos, "channel message")
+            second = _read_data_byte(data, pos + 1, "channel message") if data_len == 2 else 0
+        pos += data_len
         if kind_nibble == NOTE_ON:
             events.append((tick, second > 0, channel, first))
         elif kind_nibble == NOTE_OFF:

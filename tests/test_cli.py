@@ -106,7 +106,8 @@ class TestAnalyze:
         code = main(["analyze", str(midi), "--grid", str(grid), "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {midi}: ") and f"'{entry}'" in err
+        assert err.startswith(f"error: {grid}: ") and f"'{entry}'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_denominator_grid_is_an_error(self, tmp_path, capsys):
         self._bad_grid_entry_is_an_error(tmp_path, capsys, "1/0")
@@ -256,6 +257,20 @@ class TestCompare:
         rows = json.loads((out / "compare.json").read_text())["rows"]
         assert rows[0]["nu"] == rows[1]["nu"]
         assert rows[0]["chi2"] == rows[1]["chi2"]
+
+    def test_bad_grid_is_one_error_for_the_command(self, tmp_path, capsys):
+        paths = []
+        for name in ("a.mid", "b.mid"):
+            paths.append(tmp_path / name)
+            paths[-1].write_bytes(varied_midi_bytes())
+        grid = tmp_path / "grid.txt"
+        grid.write_text("1\n1/0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["compare", *map(str, paths), "--grid", str(grid), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {grid}: grid ratio '1/0' has a zero denominator"]
+        assert not out.exists()
 
     def test_all_files_failing_is_an_error(self, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -1,9 +1,12 @@
+import ast
 import re
+import sys
 from pathlib import Path
 
 import notezipf
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def readme_imports():
@@ -19,3 +22,19 @@ def test_readme_library_names_resolve_from_package_root():
     for name in names:
         assert hasattr(notezipf, name), name
     assert set(notezipf.__all__) == names | {"NoteZipfError"}
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted((ROOT / "src" / "notezipf").glob("*.py"))
+    assert sources
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "notezipf", (source.name, module)

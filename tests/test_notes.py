@@ -13,6 +13,7 @@ from notezipf.notes import (
     tokenize,
 )
 from notezipf.smf import RawNote
+from notezipf.stats import count_tokens
 
 
 def raw(pitch, onset, duration, track=0, channel=0):
@@ -126,8 +127,9 @@ class TestTokenize:
             raw(30, 20, 48),
         ]
         result = tokenize(notes, division=96)
-        assert [str(t) for t in result.tokens] == [
-            "50:quarter", "60:quarter", "70:quarter", "40:quarter", "30:eighth", "30:quarter"
+        assert [(t.pitch, t.duration_class.label) for t in result.tokens] == [
+            (50, "quarter"), (60, "quarter"), (70, "quarter"), (40, "quarter"), (30, "eighth"),
+            (30, "quarter"),
         ]
 
     def test_deterministic(self):
@@ -160,6 +162,13 @@ class TestTokenize:
 
 
 class TestNoteToken:
+    def test_equal_duration_classes_hash_equal(self):
+        a = DurationClass(Fraction(3, 2), "dotted_quarter")
+        b = DurationClass(Fraction(6, 4), "dotted_quarter")
+        assert a is not b and a == b and hash(a) == hash(b)
+        table = count_tokens([NoteToken(60, a), NoteToken(60, b)])
+        assert table.entries == ((NoteToken(60, a), 2),)
+
     def test_identity(self):
         quarter = DEFAULT_GRID.classify(96, 96)
         assert NoteToken(60, quarter) == NoteToken(60, quarter)
@@ -176,6 +185,3 @@ class TestNoteToken:
             NoteToken(60, quarter),
             NoteToken(62, eighth),
         ]
-
-    def test_str_label(self):
-        assert str(NoteToken(60, DurationClass(Fraction(1), "quarter"))) == "60:quarter"

@@ -1,5 +1,6 @@
-"""Property tests: SMF write-then-decode round trips, and the fitted rank
-law's pinned endpoints n(0) = n0 and n(V) = 1."""
+"""Property tests: SMF write-then-decode round trips, tokenize against a
+per-note classification, and the fitted rank law's pinned endpoints
+n(0) = n0 and n(V) = 1."""
 
 import pytest
 
@@ -8,8 +9,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from notezipf.errors import EmptyCorpus
 from notezipf.fit import fit_nu, predict_n
-from notezipf.smf import SmfDiagnostics, extract_notes, parse_smf
+from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
+from notezipf.smf import RawNote, SmfDiagnostics, extract_notes, parse_smf
 from notezipf.stats import RankTable
 
 from midibytes import end_of_track, meta, note_off, note_on, running, simple_file, track_chunk
@@ -91,6 +94,52 @@ def test_smf_round_trip(tracks, division, data):
         for channel, pitch, onset, duration in track_notes
     )
     assert sorted((n.track, n.channel, n.pitch, n.onset, n.duration) for n in notes) == expected
+
+
+def tokenize_per_note(notes, division, min_ticks, grid):
+    """tokenize's result as (tokens, dropped_short, out_of_grid), classifying every note."""
+    tokens, dropped, out_of_grid = [], 0, 0
+    for note in sorted(notes):
+        if note.duration < min_ticks:
+            dropped += 1
+            continue
+        out_of_grid += grid.is_out_of_range(note.duration, division)
+        tokens.append(NoteToken(note.pitch, grid.classify(note.duration, division)))
+    return tuple(tokens), dropped, out_of_grid
+
+
+# favoured pitches and durations repeat (pitch, duration) pairs; durations up
+# to 1e5 ticks put many notes beyond either end of a grid
+RAW_NOTES = st.lists(
+    st.builds(
+        RawNote,
+        onset=st.integers(0, 500),
+        track=st.integers(0, 2),
+        channel=st.integers(0, 15),
+        pitch=st.sampled_from([60, 62]) | st.integers(0, 127),
+        duration=st.sampled_from([1, 96, 10**5]) | st.integers(1, 10**5),
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    RAW_NOTES,
+    st.integers(1, 960),
+    st.integers(0, 300),
+    st.sampled_from([DEFAULT_GRID, DurationGrid.from_ratios(["1/3", "1", "5/2"])]),
+)
+def test_tokenize_matches_per_note_classification(notes, division, min_ticks, grid):
+    tokens, dropped, out_of_grid = tokenize_per_note(notes, division, min_ticks, grid)
+    if not tokens:
+        with pytest.raises(EmptyCorpus):
+            tokenize(notes, division, min_ticks=min_ticks, grid=grid)
+        return
+    result = tokenize(notes, division, min_ticks=min_ticks, grid=grid)
+    assert result.tokens == tokens
+    assert (result.dropped_short, result.out_of_grid) == (dropped, out_of_grid)
 
 
 @settings(max_examples=40, deadline=None)

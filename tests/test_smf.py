@@ -181,6 +181,36 @@ class TestParseSmf:
         _, notes, _ = extract_notes(data)
         assert [(n.pitch, n.duration) for n in notes] == [(60, 96)]
 
+    def test_multi_byte_deltas(self):
+        data = simple_file(
+            96,
+            track_chunk(
+                note_on(200, 60), note_off(0x4000, 60), note_on(0x7F, 62), end_of_track(0x80)
+            ),
+        )
+        _, notes, diag = extract_notes(data)
+        assert [(n.pitch, n.onset, n.duration) for n in notes] == [
+            (60, 200, 0x4000),
+            (62, 200 + 0x4000 + 0x7F, 0x80),
+        ]
+        assert diag.unmatched_note_ons == 1
+
+    def test_one_data_byte_message_before_multi_byte_delta(self):
+        # the byte after each program change starts a two-byte delta
+        data = simple_file(
+            96,
+            track_chunk(
+                vlq(0) + bytes([0xC0, 0x05]),
+                note_on(300, 60),
+                vlq(0) + bytes([0xC1, 0x07]),
+                running(0x3FFF, 0x08),                 # program change via running status
+                note_off(1, 60),
+                end_of_track(),
+            ),
+        )
+        _, notes, _ = extract_notes(data)
+        assert [(n.pitch, n.onset, n.duration) for n in notes] == [(60, 300, 0x3FFF + 1)]
+
     def test_unmatched_note_on_closed_at_track_end(self):
         data = simple_file(96, track_chunk(note_on(0, 60), end_of_track(50)))
         _, notes, diag = extract_notes(data)
@@ -266,7 +296,19 @@ class TestParseErrors:
 
     def test_status_byte_in_data_position(self):
         data = simple_file(96, track_chunk(vlq(0) + bytes([0x90, 0x3C, 0x90])))
-        with pytest.raises(DanglingStatus):
+        message = "^expected channel message data byte at offset 3, got status 0x90$"
+        with pytest.raises(DanglingStatus, match=message):
+            parse_smf(data)
+
+    def test_note_on_cut_before_its_second_data_byte(self):
+        data = simple_file(96, track_chunk(note_on(0, 60), vlq(0) + bytes([0x90, 0x3C])))
+        with pytest.raises(TruncatedChunk, match="^track data ends inside a channel message$"):
+            parse_smf(data)
+
+    def test_status_byte_as_second_data_byte_before_more_data(self):
+        data = simple_file(96, track_chunk(vlq(0) + bytes([0x90, 0x3C, 0x80]), end_of_track()))
+        message = "^expected channel message data byte at offset 3, got status 0x80$"
+        with pytest.raises(DanglingStatus, match=message):
             parse_smf(data)
 
 
