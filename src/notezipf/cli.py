@@ -99,7 +99,7 @@ def _write_analysis(report: dict, analysis: Analysis, out_dir: Path) -> None:
     fit = analysis.fit
     ranks = (
         (rank, observed, predict_n(rank, fit) if fit is not None else None)
-        for rank, (_, observed) in enumerate(analysis.table.entries, start=1)
+        for rank, observed in enumerate(analysis.table.counts(), start=1)
     )
     (out_dir / "ranks.csv").write_text(
         _csv(["rank", "observed", "predicted"], ranks), encoding="utf-8"

@@ -1,15 +1,13 @@
 """Rank-frequency tables and occurrence spectra for arbitrary token streams.
 
-Tokens only need to be hashable and totally ordered among themselves; the
-ordering is used to break count ties so that tables are a pure function of
-the token multiset, independent of stream order.
+Tokens only need to be hashable.  A table keeps the counts alone, so it is a
+pure function of the token multiset, independent of stream order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .errors import EmptyCorpus, InsufficientSupport
 from .numerics import LogLogFit, loglog_ols
@@ -17,36 +15,38 @@ from .numerics import LogLogFit, loglog_ols
 DEFAULT_SPECTRUM_N_MAX = 50
 
 
-@dataclass(frozen=True)
 class RankTable:
-    """Distinct tokens with their occurrence counts, most frequent first."""
+    """Occurrence counts of the distinct tokens, most frequent first.
 
-    entries: tuple[tuple[Any, int], ...]
+    Built from (token, count) pairs in rank order, the shape
+    ``Counter.most_common()`` returns.  Only the counts are kept: no estimator
+    and no output reads a token.
+    """
+
+    __slots__ = ("_counts",)
+
+    def __init__(self, entries: Iterable[tuple[Hashable, int]]) -> None:
+        self._counts = tuple(count for _, count in entries)
 
     @property
     def V(self) -> int:
-        return len(self.entries)
+        return len(self._counts)
 
     @property
     def T(self) -> int:
-        return sum(count for _, count in self.entries)
+        return sum(self._counts)
 
     def counts(self) -> list[int]:
         """Occurrence counts by rank (rank 1 first)."""
-        return [count for _, count in self.entries]
+        return list(self._counts)
 
 
 def count_tokens(tokens: Iterable[Hashable]) -> RankTable:
-    """Build the rank table for a token stream.
-
-    Count ties are ordered by the tokens' own ordering, so equal multisets
-    always produce identical tables regardless of stream order.
-    """
+    """Build the rank table for a token stream."""
     counter = Counter(tokens)
     if not counter:
         raise EmptyCorpus("no tokens to count")
-    entries = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-    return RankTable(entries=tuple(entries))
+    return RankTable(counter.most_common())
 
 
 def spectrum(table: RankTable) -> dict[int, int]:
@@ -54,7 +54,7 @@ def spectrum(table: RankTable) -> dict[int, int]:
 
     Keys are in increasing n and only n with w(n) > 0 appear.
     """
-    return dict(sorted(Counter(count for _, count in table.entries).items()))
+    return dict(sorted(Counter(table.counts()).items()))
 
 
 def fit_spectrum_gamma(spec: Mapping[int, float], n_max: int) -> LogLogFit:
