@@ -7,12 +7,18 @@ is pinned by the corpus totals through
 
 and the coefficients follow as a = 1/n0**nu, b = (1 - a)/V, so a + b*V = 1
 and the predicted count at the last rank is exactly 1.
+
+The search objective sums each long run of equal counts by Euler-Maclaurin
+(see _run_sse_log), so one evaluation costs O(runs) rather than O(V); the
+reported sse_log and chi-square are direct per-rank sums.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import DegenerateTable, DomainError, NoRoot, NonConvergence
 from .numerics import bisect, chi_square_sf, golden_minimize
@@ -24,6 +30,13 @@ _GRID_STEP = 0.01
 _REFINE_TOL = 1e-4
 _BOUNDARY_MARGIN = 1e-3
 _NU_LIMIT_SWITCH = 1e-6
+# Runs of at least this many ranks with one count are summed in closed form.
+_RUN_MIN = 32
+# Euler-Maclaurin end terms, one per j = 1..4: B_2j / (2j (2j - 1)) and the
+# harmonic number H_(2j-2) (see _run_sse_log)
+_EM_TERMS = ((1 / 12, 0.0), (-1 / 360, 3 / 2), (1 / 1260, 25 / 12), (-1 / 1680, 49 / 20))
+_GAUSS_POINTS = 16
+_FLOAT_RANGE = f"the float range (up to {sys.float_info.max:.4g})"
 
 
 @dataclass(frozen=True)
@@ -68,7 +81,10 @@ def solve_n0(T: float, V: float, nu: float) -> float:
         raise DomainError(f"nu must lie in (0, 1), got {nu}")
     if V < 2 or T < V:
         raise DomainError(f"need T >= V >= 2, got T={T}, V={V}")
-    target = T / V
+    try:
+        target = T / V
+    except OverflowError:
+        raise DomainError(f"T/V exceeds {_FLOAT_RANGE}") from None
     if target <= 1.0:
         raise NoRoot(f"T/V = {target} <= 1: every count is 1, no cap above 1 exists")
     lo = 1e-12
@@ -81,7 +97,12 @@ def solve_n0(T: float, V: float, nu: float) -> float:
     else:
         raise NonConvergence("could not bracket the occurrence cap")
     log_root = bisect(lambda log_n0: _tv_ratio(log_n0, nu) - target, lo, hi, rel_tol=1e-14)
-    return math.exp(log_root)
+    try:
+        return math.exp(log_root)
+    except OverflowError:
+        raise DomainError(
+            f"occurrence cap exp({log_root:.6g}) at nu={nu} exceeds {_FLOAT_RANGE}"
+        ) from None
 
 
 def coefficients(n0: float, V: float, nu: float) -> tuple[float, float]:
@@ -102,11 +123,84 @@ def predict_n(r: float, fit: SimonFit) -> float:
     return _predict(r, fit.a, fit.b, fit.z)
 
 
-def _sse_log(log_counts: list[float], a: float, b: float, z: float) -> float:
-    return math.fsum(
-        (obs + z * math.log(a + b * r)) ** 2
-        for r, obs in enumerate(log_counts, start=1)
-    )
+def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    rule = []
+    for i in range(n):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, prev = x, 1.0
+            for k in range(2, n + 1):
+                p, prev = ((2 * k - 1) * x * p - (k - 1) * prev) / k, p
+            slope = n * (x * p - prev) / (x * x - 1.0)
+            step = p / slope
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        rule.append((x, 2.0 / ((1.0 - x * x) * slope * slope)))
+    return tuple(rule)
+
+
+_GAUSS = _gauss_legendre(_GAUSS_POINTS)
+
+
+def _run_sse_log(obs: float, r1: int, r2: int, a: float, b: float, z: float) -> list[float]:
+    """Terms whose sum is the log-SSE of ranks r1..r2, which share log count obs.
+
+    With g(r) = (obs + z*log(a + b*r))**2 the run's sum is, by Euler-Maclaurin,
+    the integral of g over [r1, r2] plus (g(r1) + g(r2))/2 plus end terms in
+    the odd derivatives of g.  For q = b/(a + b*r) and e = sqrt(g),
+    g^(2j-1)(r) = 2z (2j-2)! q**(2j-1) (e - z H_(2j-2)), so each end term is
+    2z q**(2j-1) (e - z H_(2j-2)) B_2j / (2j (2j-1)).  The integral is taken
+    by Gauss-Legendre, which needs log(a + b*x) analytic well beyond the run:
+    callers keep r2 - r1 <= 2 (a/b + r1).  Then q <= 1/15.5 once the run has
+    _RUN_MIN ranks, and four end terms leave under 1e-14 of the sum.
+    """
+    half = 0.5 * (r2 - r1)
+    mid = r1 + half
+    terms = [
+        half * w * (obs + z * math.log(a + b * (mid + half * x))) ** 2 for x, w in _GAUSS
+    ]
+    for r, sign in ((r1, -1.0), (r2, 1.0)):
+        u = a + b * r
+        e = obs + z * math.log(u)
+        q = b / u
+        terms.append(0.5 * e * e)
+        q2 = q * q
+        power = 2.0 * z * q * sign
+        for coef, harmonic in _EM_TERMS:
+            terms.append(power * coef * (e - z * harmonic))
+            power *= q2
+    return terms
+
+
+def _sse_log(
+    ranked: list[tuple[int, float]],
+    runs: list[tuple[float, int, int]],
+    a: float,
+    b: float,
+    z: float,
+) -> float:
+    """Log-space SSE over (rank, log count) pairs and (log count, r1, r2) runs.
+
+    The pairs are summed rank by rank.  Each run is cut into pieces that
+    reach at most 2 (a/b + r) ranks past their first rank r, as _run_sse_log
+    needs; a piece shorter than _RUN_MIN is summed rank by rank too.  With
+    no runs this is the plain per-rank sum.
+    """
+    c = a / b if b > 0.0 else math.inf
+    parts = [(obs + z * math.log(a + b * r)) ** 2 for r, obs in ranked]
+    for obs, r1, r2 in runs:
+        r = r1
+        while r <= r2:
+            reach = 2.0 * (c + r)
+            end = r2 if reach >= r2 - r else r + int(reach)
+            if end - r + 1 < _RUN_MIN:
+                parts.extend((obs + z * math.log(a + b * s)) ** 2 for s in range(r, end + 1))
+            else:
+                parts.extend(_run_sse_log(obs, r, end, a, b, z))
+            r = end + 1
+    return math.fsum(parts)
 
 
 def _sse_linear(counts: list[int], a: float, b: float, z: float) -> float:
@@ -122,7 +216,9 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
     from (T, V, nu), so the curve always passes through n(V) = 1.  Residuals
     are taken in log space by default (the data spans decades); pass
     residuals="linear" for plain residuals.  The search runs a coarse grid
-    over [0.02, 0.98] followed by golden-section refinement.
+    over [0.02, 0.98] followed by golden-section refinement; in log space it
+    sums each run of _RUN_MIN or more equal counts in closed form.  sse_log,
+    chi2 and p_value are per-rank sums at the chosen nu.
     """
     if residuals not in ("log", "linear"):
         raise ValueError(f"residuals must be 'log' or 'linear', got {residuals!r}")
@@ -133,17 +229,27 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
     if counts[0] == counts[-1]:
         raise DegenerateTable("all counts equal; the table carries no rank structure")
     log_counts = [math.log(c) for c in counts]
+    ranked, runs = [], []
+    r = 1
+    for obs, run in groupby(log_counts):
+        n = sum(1 for _ in run)
+        if n < _RUN_MIN:
+            ranked.extend((s, obs) for s in range(r, r + n))
+        else:
+            runs.append((obs, r, r + n - 1))
+        r += n
 
     def objective(nu: float) -> float:
         try:
             n0 = solve_n0(T, V, nu)
-        except OverflowError:
-            # the cap exceeds the float range at this nu (extreme T/V): no curve
+        except DomainError:
+            # T, V and nu are in solve_n0's domain here, so the cap or T/V
+            # exceeds the float range at this nu (extreme T/V): no curve
             return math.inf
         a, b = coefficients(n0, V, nu)
         z = 1.0 / nu
         if residuals == "log":
-            return _sse_log(log_counts, a, b, z)
+            return _sse_log(ranked, runs, a, b, z)
         return _sse_linear(counts, a, b, z)
 
     grid = []
@@ -169,7 +275,7 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
         n0=n0,
         a=a,
         b=b,
-        sse_log=_sse_log(log_counts, a, b, z),
+        sse_log=_sse_log(list(enumerate(log_counts, start=1)), [], a, b, z),
         chi2=chi2,
         dof=dof,
         p_value=p_value,
@@ -185,10 +291,13 @@ def chi_square_gof(counts: list[int], a: float, b: float, z: float) -> tuple[flo
     Returns (chi2, dof, p_value) with dof = V - 2: one fitted exponent plus
     the constraint the corpus total imposes through the cap.
     """
-    chi2 = math.fsum(
-        (c - pred) ** 2 / pred
-        for r, c in enumerate(counts, start=1)
-        for pred in (_predict(r, a, b, z),)
-    )
+    try:
+        chi2 = math.fsum(
+            (c - pred) ** 2 / pred
+            for r, c in enumerate(counts, start=1)
+            for pred in (_predict(r, a, b, z),)
+        )
+    except OverflowError:
+        raise DomainError(f"chi-square statistic exceeds {_FLOAT_RANGE}") from None
     dof = len(counts) - 2
     return chi2, dof, chi_square_sf(chi2, dof)

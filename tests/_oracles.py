@@ -127,3 +127,24 @@ def enumerate_simon_distribution(steps: int, innovation_probs, rule: str):
 
     recurse((1,), Fraction(1))
     return dist
+
+
+def direct_log_sse(log_count: float, r1: int, r2: int, a: float, b: float, z: float) -> float:
+    """Log-space SSE of ranks r1..r2 against n(r) = (a + b*r)**(-z), rank by rank.
+
+    Every rank shares the observed log count, as in one run of equal counts.
+    """
+    return math.fsum((log_count + z * math.log(a + b * r)) ** 2 for r in range(r1, r2 + 1))
+
+
+def lgamma_log_sum(r1: int, r2: int, a: float, b: float) -> float:
+    """Sum of log(a + b*r) over r = r1..r2 in closed form.
+
+    With c = a/b, the product of (c + r) over the run is
+    Gamma(c + r2 + 1) / Gamma(c + r1), so the sum is
+    n*log(b) + lgamma(c + r2 + 1) - lgamma(c + r1).  The two lgamma values
+    are large and nearly cancel when c dwarfs the run, so this form is only
+    accurate for moderate c.
+    """
+    c = a / b
+    return (r2 - r1 + 1) * math.log(b) + math.lgamma(c + r2 + 1) - math.lgamma(c + r1)

@@ -1,9 +1,11 @@
 import math
 import random
 from dataclasses import asdict
+from itertools import groupby
 
 import pytest
 
+from notezipf import fit as fit_module
 from notezipf.errors import DegenerateTable, DomainError, NoRoot
 from notezipf.fit import (
     SimonFit,
@@ -14,6 +16,7 @@ from notezipf.fit import (
     solve_n0,
     _tv_ratio,
 )
+from notezipf.simulate import SimConfig, simulate
 from notezipf.stats import RankTable, count_tokens
 
 from _oracles import rank_law_counts
@@ -53,6 +56,14 @@ class TestSolveN0:
             solve_n0(100, 10, 1.0)
         with pytest.raises(DomainError):
             solve_n0(5, 10, 0.5)
+
+    def test_cap_beyond_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            solve_n0(10**9 + 2, 3, 0.98)
+
+    def test_cap_of_huge_total_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            solve_n0(1e308, 3, 0.5)
 
     def test_limit_branch_continuous_near_one(self):
         # the nu -> 1 series limit must join the general branch smoothly
@@ -207,6 +218,14 @@ class TestFitNu:
         assert fit.nu == pytest.approx(0.0571, abs=1e-3)
         assert not fit.boundary_warning
 
+    def test_total_beyond_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="T/V exceeds the float range"):
+            fit_nu(table_from_counts([10**400, 2, 1]))
+
+    def test_chi_square_beyond_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="chi-square statistic exceeds the float range"):
+            fit_nu(table_from_counts([10**300, 1, 1]))
+
     def test_serialization_round_trip(self):
         fit = fit_nu(table_from_counts(rank_law_counts(0.4, 300, 500.0)))
         payload = asdict(fit)
@@ -232,3 +251,29 @@ class TestChiSquareGof:
         mean = max(1, round(sum(counts) / len(counts)))
         _, _, p = chi_square_gof([mean] * 300, fit.a, fit.b, fit.z)
         assert p < 0.05
+
+
+class TestRunKernel:
+    """The search sums long runs of equal counts in closed form."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            lambda: rank_law_counts(0.3, 5000, 500.0),
+            lambda: rank_law_counts(0.6, 5000, 2000.0),
+            lambda: count_tokens(simulate(SimConfig("sublinear", 50_000, 1, nu=0.5)).tokens).counts(),
+            lambda: count_tokens(simulate(SimConfig("sublinear", 60_000, 2, nu=0.7)).tokens).counts(),
+            lambda: count_tokens(simulate(SimConfig("sublinear", 8_000, 3, nu=0.9)).tokens).counts(),
+            lambda: count_tokens(simulate(SimConfig("constant", 20_000, 4, alpha=0.2)).tokens).counts(),
+        ],
+        ids=["forward-0.3", "forward-0.6", "sublinear-0.5", "sublinear-0.7", "sublinear-0.9", "constant-0.2"],
+    )
+    def test_fit_equals_rank_by_rank_search(self, counts, monkeypatch):
+        counts = counts()
+        runs = [len(list(run)) for _, run in groupby(counts)]
+        assert any(n >= fit_module._RUN_MIN for n in runs)
+        fit = fit_nu(table_from_counts(counts))
+        # with no run long enough for the closed form, every rank is summed
+        # one by one, which is the search the closed form must reproduce
+        monkeypatch.setattr(fit_module, "_RUN_MIN", len(counts) + 1)
+        assert fit_nu(table_from_counts(counts)) == fit

@@ -1,20 +1,24 @@
 """Property tests: SMF write-then-decode round trips, tokenize against a
-per-note classification, and the fitted rank law's pinned endpoints
-n(0) = n0 and n(V) = 1."""
+per-note classification, the fitted rank law's pinned endpoints
+n(0) = n0 and n(V) = 1, and the rank-law objective's run kernel against
+rank-by-rank sums."""
+
+import math
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from notezipf.errors import EmptyCorpus
-from notezipf.fit import fit_nu, predict_n
+from notezipf.fit import _sse_log, fit_nu, predict_n
 from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
 from notezipf.smf import RawNote, SmfDiagnostics, extract_notes, parse_smf
 from notezipf.stats import RankTable
 
+from _oracles import direct_log_sse, lgamma_log_sum
 from midibytes import end_of_track, meta, note_off, note_on, running, simple_file, track_chunk
 
 # (channel, pitch, onset, duration) of one note; a few favoured keys make
@@ -150,3 +154,70 @@ def test_fitted_law_passes_through_its_endpoints(counts):
     fit = fit_nu(RankTable(entries=tuple(enumerate(counts))))
     assert predict_n(0, fit) == pytest.approx(fit.n0, rel=1e-9)
     assert predict_n(len(counts), fit) == pytest.approx(1.0, rel=1e-9)
+
+
+EPS = 2.0**-52
+
+
+@st.composite
+def runs(draw):
+    """One run of equal counts on a fitted curve: (obs, r1, r2, a, b, z).
+
+    a = 1/n0**nu spans 1e-300 (c = a/b near 0, the run starts next to the
+    curve's pole) to 1 - 1e-15 (c near 1e15 V, an almost flat curve), and 1
+    itself, where b = 0.
+    """
+    n = draw(st.integers(1, 30_000))
+    V = draw(st.integers(n, 100_000))
+    r1 = draw(st.integers(1, min(V - n + 1, 40)) | st.integers(1, V - n + 1))
+    a = draw(
+        st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
+        | st.floats(-15.0, -1.0).map(lambda e: 1.0 - 10.0**e)
+    )
+    nu = draw(st.floats(0.02, 0.98))
+    obs = draw(st.sampled_from([0.0, math.log(2.0)]) | st.floats(0.0, 28.0))
+    return obs, r1, r1 + n - 1, a, (1.0 - a) / V, 1.0 / nu
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs())
+# a 32-rank piece 16 ranks from the pole, where the end terms matter most:
+# with one end term fewer the kernel misses by 3.4e-13 relative
+@example((12.0, 16, 47, 1e-300, (1.0 - 1e-300) / 5000, 2.0))
+def test_run_kernel_matches_rank_by_rank_sum(run):
+    obs, r1, r2, a, b, z = run
+    kernel = _sse_log([], [(obs, r1, r2)], a, b, z)
+    direct = direct_log_sse(obs, r1, r2, a, b, z)
+    # The direct sum is itself exact only to a rounding floor: each residual
+    # carries about eps * (|obs| + z (|log u| + 1)) of error, which dominates
+    # when the residuals nearly vanish.  Over 1,500 examples of this strategy
+    # the worst miss used 0.12 of the bound below.
+    n = r2 - r1 + 1
+    delta = EPS * (obs + z * (abs(math.log(a + b * r1)) + 1.0))
+    floor = 2.0 * delta * math.sqrt(n * direct) + n * delta * delta
+    assert abs(kernel - direct) <= 1e-13 * direct + floor
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(1.0, 1e6),
+    st.integers(1, 30_000),
+    st.integers(1, 100_000),
+    st.floats(0.01, 0.9),
+    st.floats(0.02, 0.98),
+)
+def test_run_kernel_cross_term_matches_lgamma_form(c, n, r1, u_last, nu):
+    # The run's log-SSE is n obs**2 + 2 obs z S + z**2 Q with S the sum of
+    # log(a + b r), so the kernel at obs = +s and -s gives S back; at
+    # s = z |S| / n that difference is well conditioned.
+    r2 = r1 + n - 1
+    b = u_last / (c + r2)
+    a, z = c * b, 1.0 / nu
+    exact = lgamma_log_sum(r1, r2, a, b)
+    s = z * abs(exact) / n
+    plus = _sse_log([], [(s, r1, r2)], a, b, z)
+    minus = _sse_log([], [(-s, r1, r2)], a, b, z)
+    # the lgamma form loses eps * lgamma(c + r) to cancellation; over 1,500
+    # random runs the worst miss used 0.86 of eps, so 4 eps is the bound
+    slack = 4.0 * EPS * (abs(math.lgamma(c + r2 + 1)) + abs(math.lgamma(c + r1)))
+    assert abs((plus - minus) / (4.0 * s * z) - exact) <= 1e-12 * abs(exact) + slack
