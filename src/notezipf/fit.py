@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import groupby
+from typing import Iterable
 
 from .errors import DegenerateTable, DomainError, NoRoot, NonConvergence
 from .numerics import bisect, chi_square_sf, golden_minimize
@@ -30,12 +31,11 @@ _GRID_STEP = 0.01
 _REFINE_TOL = 1e-4
 _BOUNDARY_MARGIN = 1e-3
 _NU_LIMIT_SWITCH = 1e-6
-# Runs of at least this many ranks with one count are summed in closed form.
+# Runs of at least this many ranks with one count are summed by Euler-Maclaurin.
 _RUN_MIN = 32
 # Euler-Maclaurin end terms, one per j = 1..4: B_2j / (2j (2j - 1)) and the
 # harmonic number H_(2j-2) (see _run_sse_log)
 _EM_TERMS = ((1 / 12, 0.0), (-1 / 360, 3 / 2), (1 / 1260, 25 / 12), (-1 / 1680, 49 / 20))
-_GAUSS_POINTS = 16
 _FLOAT_RANGE = f"the float range (up to {sys.float_info.max:.4g})"
 
 
@@ -141,7 +141,7 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
     return tuple(rule)
 
 
-_GAUSS = _gauss_legendre(_GAUSS_POINTS)
+_GAUSS = _gauss_legendre(16)
 
 
 def _run_sse_log(obs: float, r1: int, r2: int, a: float, b: float, z: float) -> list[float]:
@@ -175,7 +175,7 @@ def _run_sse_log(obs: float, r1: int, r2: int, a: float, b: float, z: float) -> 
 
 
 def _sse_log(
-    ranked: list[tuple[int, float]],
+    ranked: Iterable[tuple[int, float]],
     runs: list[tuple[float, int, int]],
     a: float,
     b: float,
@@ -217,8 +217,8 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
     are taken in log space by default (the data spans decades); pass
     residuals="linear" for plain residuals.  The search runs a coarse grid
     over [0.02, 0.98] followed by golden-section refinement; in log space it
-    sums each run of _RUN_MIN or more equal counts in closed form.  sse_log,
-    chi2 and p_value are per-rank sums at the chosen nu.
+    sums each run of _RUN_MIN or more equal counts by Euler-Maclaurin.
+    sse_log, chi2 and p_value are per-rank sums at the chosen nu.
     """
     if residuals not in ("log", "linear"):
         raise ValueError(f"residuals must be 'log' or 'linear', got {residuals!r}")
@@ -275,7 +275,7 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
         n0=n0,
         a=a,
         b=b,
-        sse_log=_sse_log(list(enumerate(log_counts, start=1)), [], a, b, z),
+        sse_log=_sse_log(enumerate(log_counts, start=1), [], a, b, z),
         chi2=chi2,
         dof=dof,
         p_value=p_value,

@@ -254,7 +254,7 @@ class TestChiSquareGof:
 
 
 class TestRunKernel:
-    """The search sums long runs of equal counts in closed form."""
+    """The search sums long runs of equal counts by Euler-Maclaurin."""
 
     @pytest.mark.parametrize(
         "counts",
@@ -273,7 +273,7 @@ class TestRunKernel:
         runs = [len(list(run)) for _, run in groupby(counts)]
         assert any(n >= fit_module._RUN_MIN for n in runs)
         fit = fit_nu(table_from_counts(counts))
-        # with no run long enough for the closed form, every rank is summed
-        # one by one, which is the search the closed form must reproduce
+        # with no run long enough for Euler-Maclaurin, every rank is summed
+        # one by one, which is the search the run sums must reproduce
         monkeypatch.setattr(fit_module, "_RUN_MIN", len(counts) + 1)
         assert fit_nu(table_from_counts(counts)) == fit
