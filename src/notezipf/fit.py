@@ -204,9 +204,12 @@ def _sse_log(
 
 
 def _sse_linear(counts: list[int], a: float, b: float, z: float) -> float:
-    return math.fsum(
-        (c - _predict(r, a, b, z)) ** 2 for r, c in enumerate(counts, start=1)
-    )
+    try:
+        return math.fsum(
+            (c - _predict(r, a, b, z)) ** 2 for r, c in enumerate(counts, start=1)
+        )
+    except OverflowError:
+        raise DomainError(f"linear sum of squared residuals exceeds {_FLOAT_RANGE}") from None
 
 
 def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:

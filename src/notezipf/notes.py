@@ -151,13 +151,15 @@ def tokenize(
 
     Notes shorter than min_ticks are dropped (grace-note filter);
     durations beyond the grid's ends clamp to the end class and are tallied.
-    Each distinct (pitch, duration) is classified once.  Raises EmptyCorpus
-    when nothing survives.
+    Each distinct duration is classified once, and each distinct
+    (pitch, duration) becomes a token once.  Raises EmptyCorpus when nothing
+    survives.
     """
     tokens: list[NoteToken] = []
     dropped = 0
     out_of_grid = 0
     seen: dict[tuple[int, int], tuple[NoteToken, bool]] = {}
+    classes: dict[int, tuple[DurationClass, bool]] = {}
     for note in sorted(notes):
         if min_ticks and note.duration < min_ticks:
             dropped += 1
@@ -165,9 +167,12 @@ def tokenize(
         key = (note.pitch, note.duration)
         entry = seen.get(key)
         if entry is None:
-            outside = grid.is_out_of_range(note.duration, division)
-            token = NoteToken(note.pitch, grid.classify(note.duration, division))
-            entry = seen[key] = (token, outside)
+            found = classes.get(note.duration)
+            if found is None:
+                outside = grid.is_out_of_range(note.duration, division)
+                found = classes[note.duration] = (grid.classify(note.duration, division), outside)
+            duration_class, outside = found
+            entry = seen[key] = (NoteToken(note.pitch, duration_class), outside)
         token, outside = entry
         out_of_grid += outside
         tokens.append(token)

@@ -8,12 +8,17 @@ are deliberately ignored because downstream duration classes are ratios of
 ticks to division and therefore tempo-independent.
 
 parse_smf(data) returns (header, tracks, diagnostics): an SmfHeader, one
-(events, end_tick) tuple per MTrk chunk with each event a (tick, is_on,
-channel, pitch) tuple, and an SmfDiagnostics holding trailing_bytes and
-missing_end_of_track.  pair_notes(tracks, diagnostics) turns the tracks into
-RawNotes and adds its pairing tallies to the diagnostics it is given;
-extract_notes does both.  A RawNote is a (onset, track, channel, pitch,
-duration) tuple, so sorting notes orders them by onset with that tie-break.
+Track per MTrk chunk, and an SmfDiagnostics.  The track decoder pairs notes
+as it reads them, FIFO per (channel, pitch), so no list of events is built:
+a Track is (closed notes, open onsets per key, end_tick), where a key is
+channel << 7 | pitch and its onsets are the ticks of note-ons still waiting
+for a note-off.  parse_smf tallies trailing_bytes, missing_end_of_track,
+orphan_note_offs and the zero-length pairs closed inside a track.
+pair_notes(tracks, diagnostics) concatenates the closed notes, closes the
+open onsets at each track's end in key order, and adds unmatched_note_ons
+and the zero-length count of those closes; extract_notes does both.  A
+RawNote is a (onset, track, channel, pitch, duration) tuple, so sorting
+notes orders them by onset with that tie-break.
 
 MissingHeader covers both an absent MThd chunk and one whose fixed fields are
 malformed (bad length, unknown format, zero division).
@@ -50,11 +55,6 @@ class SmfHeader:
     division: int
 
 
-# A decoded track: its note events as (tick, is_on, channel, pitch), where
-# is_on means velocity > 0, and the tick at which the track ends.
-Track = tuple[list[tuple[int, bool, int, int]], int]
-
-
 class RawNote(NamedTuple):
     """A timed note; the field order is the order notes sort in."""
 
@@ -72,6 +72,11 @@ class SmfDiagnostics:
     unmatched_note_ons: int = 0
     orphan_note_offs: int = 0
     zero_length_notes: int = 0
+
+
+# A decoded track: its notes closed by a note-off, the onsets still open per
+# channel << 7 | pitch in arrival order, and the tick at which the track ends.
+Track = tuple[list[RawNote], dict[int, deque[int]], int]
 
 
 def read_vlq(data: bytes, pos: int) -> tuple[int, int]:
@@ -96,13 +101,20 @@ def _read_data_byte(data: bytes, pos: int, what: str) -> int:
     return byte
 
 
-def _parse_track(data: bytes) -> tuple[Track, bool]:
-    """Decode one MTrk payload; returns the track and whether EOT was seen."""
-    events: list[tuple[int, bool, int, int]] = []
+def _parse_track(data: bytes, track: int, diag: SmfDiagnostics) -> tuple[Track, bool]:
+    """Decode one MTrk payload and pair its notes as they come.
+
+    Returns the track and whether EOT was seen.  Orphan note-offs and
+    zero-length pairs are tallied into diag as they occur.
+    """
+    notes: list[RawNote] = []
+    pending: dict[int, deque[int]] = {}
+    new_note = tuple.__new__  # a RawNote without the Python frame of its __new__
+    saw_eot = False
     end = len(data)
     pos = 0
     tick = 0
-    running_status: int | None = None
+    kind = 0  # status nibble of the running status; 0 when none is in scope
     while pos < end:
         if data[pos] < 0x80:  # one-byte delta, the common case
             tick += data[pos]
@@ -113,7 +125,16 @@ def _parse_track(data: bytes) -> tuple[Track, bool]:
         if pos >= end:
             raise TruncatedChunk("track data ends after a delta time")
         byte = data[pos]
-        if byte == _META:
+        if byte < 0x80:
+            if not kind:
+                raise DanglingStatus(
+                    f"data byte 0x{byte:02X} at offset {pos} with no status in scope"
+                )
+        elif byte < 0xF0:
+            kind, channel = byte & 0xF0, byte & 0x0F
+            data_len = _DATA_LEN[kind]
+            pos += 1
+        elif byte == _META:
             pos += 1
             if pos >= end:
                 raise TruncatedChunk("track data ends inside a meta event")
@@ -126,40 +147,45 @@ def _parse_track(data: bytes) -> tuple[Track, bool]:
                 )
             pos += length
             if meta_type == _END_OF_TRACK:
-                return (events, tick), True
-            running_status = None
+                saw_eot = True
+                break
+            kind = 0
             continue
-        if byte in _SYSEX:
+        elif byte in _SYSEX:
             pos += 1
             length, pos = read_vlq(data, pos)
             if pos + length > end:
                 raise TruncatedChunk(f"sysex declares {length} bytes past track end")
             pos += length
-            running_status = None
+            kind = 0
             continue
-        if byte & 0x80:
-            if byte >= 0xF0:
-                raise DanglingStatus(f"unsupported system status 0x{byte:02X} in track data")
-            running_status = byte
-            pos += 1
-        elif running_status is None:
-            raise DanglingStatus(f"data byte 0x{byte:02X} at offset {pos} with no status in scope")
-        status = running_status
-        kind_nibble = status & 0xF0
-        channel = status & 0x0F
-        data_len = _DATA_LEN[kind_nibble]
-        if pos + 1 < end and data[pos] < 0x80 and data[pos + 1] < 0x80:
-            # when data_len is 1, second is the next delta byte and goes unused
-            first, second = data[pos], data[pos + 1]
         else:
+            raise DanglingStatus(f"unsupported system status 0x{byte:02X} in track data")
+        # both data bytes inline when they are there; when data_len is 1,
+        # second is the next delta byte and goes unused
+        if not (
+            pos + 1 < end and (first := data[pos]) < 0x80 and (second := data[pos + 1]) < 0x80
+        ):
             first = _read_data_byte(data, pos, "channel message")
             second = _read_data_byte(data, pos + 1, "channel message") if data_len == 2 else 0
         pos += data_len
-        if kind_nibble == NOTE_ON:
-            events.append((tick, second > 0, channel, first))
-        elif kind_nibble == NOTE_OFF:
-            events.append((tick, False, channel, first))
-    return (events, tick), False
+        if kind == NOTE_ON and second:
+            key = channel << 7 | first
+            queue = pending.get(key)
+            if queue is None:
+                queue = pending[key] = deque()
+            queue.append(tick)
+        elif kind == NOTE_OFF or kind == NOTE_ON:
+            queue = pending.get(channel << 7 | first)
+            if not queue:
+                diag.orphan_note_offs += 1
+                continue
+            onset = queue.popleft()
+            if tick > onset:
+                notes.append(new_note(RawNote, (onset, track, channel, first, tick - onset)))
+            else:
+                diag.zero_length_notes += 1
+    return (notes, {key: queue for key, queue in pending.items() if queue}, tick), saw_eot
 
 
 def parse_smf(data: bytes) -> tuple[SmfHeader, list[Track], SmfDiagnostics]:
@@ -205,7 +231,7 @@ def parse_smf(data: bytes) -> tuple[SmfHeader, list[Track], SmfDiagnostics]:
         payload = data[pos + 8 : pos + 8 + chunk_len]
         pos += 8 + chunk_len
         if chunk_type == b"MTrk":
-            track, saw_eot = _parse_track(payload)
+            track, saw_eot = _parse_track(payload, len(tracks), diag)
             tracks.append(track)
             if not saw_eot:
                 diag.missing_end_of_track += 1
@@ -215,42 +241,30 @@ def parse_smf(data: bytes) -> tuple[SmfHeader, list[Track], SmfDiagnostics]:
 def pair_notes(
     tracks: list[Track], diagnostics: SmfDiagnostics
 ) -> tuple[list[RawNote], SmfDiagnostics]:
-    """Match note-ons to note-offs, FIFO per (track, channel, pitch).
+    """Concatenate the tracks' notes, closing each onset still open at its track's end.
 
-    Unmatched note-ons are closed at the track's final tick and tallied;
-    orphan note-offs are tallied and dropped; zero-length pairs are tallied
-    and dropped (RawNote durations are always >= 1).  The tallies are added
-    to diagnostics, which is returned with the notes.
+    The open onsets are closed in (channel, pitch) order, then onset order,
+    and tallied as unmatched note-ons; a close at the onset's own tick is a
+    zero-length pair, tallied and dropped (RawNote durations are always
+    >= 1).  The tallies are added to diagnostics, which is returned with the
+    notes.
     """
     notes: list[RawNote] = []
-
-    def close(onset: int, end: int, track: int, channel: int, pitch: int) -> None:
-        if end > onset:
-            notes.append(RawNote(onset, track, channel, pitch, end - onset))
-        else:
-            diagnostics.zero_length_notes += 1
-
-    for track_index, (events, end_tick) in enumerate(tracks):
-        pending: dict[tuple[int, int], deque[int]] = {}
-        for tick, is_on, channel, pitch in events:
-            key = (channel, pitch)
-            if is_on:
-                pending.setdefault(key, deque()).append(tick)
-            else:
-                queue = pending.get(key)
-                if not queue:
-                    diagnostics.orphan_note_offs += 1
-                    continue
-                close(queue.popleft(), tick, track_index, channel, pitch)
-        for (channel, pitch), queue in sorted(pending.items()):
-            for onset in queue:
+    for track_index, (closed, pending, end_tick) in enumerate(tracks):
+        notes.extend(closed)
+        for key in sorted(pending):
+            channel, pitch = divmod(key, 128)
+            for onset in pending[key]:
                 diagnostics.unmatched_note_ons += 1
-                close(onset, end_tick, track_index, channel, pitch)
+                if end_tick > onset:
+                    notes.append(RawNote(onset, track_index, channel, pitch, end_tick - onset))
+                else:
+                    diagnostics.zero_length_notes += 1
     return notes, diagnostics
 
 
 def extract_notes(data: bytes) -> tuple[SmfHeader, list[RawNote], SmfDiagnostics]:
-    """Parse a buffer and pair its events in one step."""
+    """Decode a buffer into its header, notes and diagnostics in one step."""
     header, tracks, diag = parse_smf(data)
     notes, diag = pair_notes(tracks, diag)
     return header, notes, diag

@@ -148,3 +148,165 @@ def lgamma_log_sum(r1: int, r2: int, a: float, b: float) -> float:
     """
     c = a / b
     return (r2 - r1 + 1) * math.log(b) + math.lgamma(c + r2 + 1) - math.lgamma(c + r1)
+
+
+def reference_extract_notes(data: bytes):
+    """Two-pass Standard MIDI File decoder: every note event into a list, then pairing.
+
+    Each track is first decoded into (tick, is_on, channel, pitch) events,
+    where is_on means a note-on with velocity > 0; a second pass matches
+    note-ons to note-offs FIFO per (channel, pitch), closes what is still open
+    at the track's end in (channel, pitch) order, and tallies orphans,
+    unmatched note-ons and zero-length pairs.  Returns (header, notes,
+    diagnostics) as notezipf.smf.extract_notes does and raises the same
+    errors with the same messages.
+    """
+    from collections import deque
+
+    from notezipf.errors import (
+        DanglingStatus,
+        InvalidVlq,
+        MissingHeader,
+        SmpteDivision,
+        TruncatedChunk,
+    )
+    from notezipf.smf import RawNote, SmfDiagnostics, SmfHeader
+
+    data_lengths = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}
+
+    def read_vlq(buf, pos):
+        value = 0
+        for i in range(4):
+            if pos + i >= len(buf):
+                raise InvalidVlq(f"unterminated variable-length quantity at offset {pos}")
+            byte = buf[pos + i]
+            value = (value << 7) | (byte & 0x7F)
+            if not byte & 0x80:
+                return value, pos + i + 1
+        raise InvalidVlq(f"variable-length quantity longer than 4 bytes at offset {pos}")
+
+    def data_byte(buf, pos):
+        if pos >= len(buf):
+            raise TruncatedChunk("track data ends inside a channel message")
+        byte = buf[pos]
+        if byte & 0x80:
+            raise DanglingStatus(
+                f"expected channel message data byte at offset {pos}, got status 0x{byte:02X}"
+            )
+        return byte
+
+    def track_events(buf):
+        """(events, end_tick, saw_end_of_track) of one MTrk payload."""
+        events = []
+        pos = tick = 0
+        status = None
+        while pos < len(buf):
+            delta, pos = read_vlq(buf, pos)
+            tick += delta
+            if pos >= len(buf):
+                raise TruncatedChunk("track data ends after a delta time")
+            byte = buf[pos]
+            if byte == 0xFF:
+                pos += 1
+                if pos >= len(buf):
+                    raise TruncatedChunk("track data ends inside a meta event")
+                meta_type = buf[pos]
+                length, pos = read_vlq(buf, pos + 1)
+                if pos + length > len(buf):
+                    raise TruncatedChunk(
+                        f"meta event 0x{meta_type:02X} declares {length} bytes past track end"
+                    )
+                pos += length
+                if meta_type == 0x2F:
+                    return events, tick, True
+                status = None
+                continue
+            if byte in (0xF0, 0xF7):
+                length, pos = read_vlq(buf, pos + 1)
+                if pos + length > len(buf):
+                    raise TruncatedChunk(f"sysex declares {length} bytes past track end")
+                pos += length
+                status = None
+                continue
+            if byte & 0x80:
+                if byte >= 0xF0:
+                    raise DanglingStatus(f"unsupported system status 0x{byte:02X} in track data")
+                status = byte
+                pos += 1
+            elif status is None:
+                raise DanglingStatus(
+                    f"data byte 0x{byte:02X} at offset {pos} with no status in scope"
+                )
+            kind, channel = status & 0xF0, status & 0x0F
+            first = data_byte(buf, pos)
+            second = data_byte(buf, pos + 1) if data_lengths[kind] == 2 else 0
+            pos += data_lengths[kind]
+            if kind == 0x90:
+                events.append((tick, second > 0, channel, first))
+            elif kind == 0x80:
+                events.append((tick, False, channel, first))
+        return events, tick, False
+
+    if len(data) < 8 or data[0:4] != b"MThd":
+        raise MissingHeader("no MThd chunk at offset 0")
+    header_len = int.from_bytes(data[4:8], "big")
+    if header_len < 6:
+        raise MissingHeader(f"MThd declares {header_len} bytes; need at least 6")
+    if 8 + header_len > len(data):
+        raise TruncatedChunk(f"MThd declares {header_len} bytes past end of buffer")
+    fmt = int.from_bytes(data[8:10], "big")
+    declared_tracks = int.from_bytes(data[10:12], "big")
+    division = int.from_bytes(data[12:14], "big")
+    if fmt not in (0, 1, 2):
+        raise MissingHeader(f"unknown SMF format {fmt}")
+    if division & 0x8000:
+        raise SmpteDivision("SMPTE division is not supported; use ticks per quarter note")
+    if division == 0:
+        raise MissingHeader("division of 0 ticks per quarter note is invalid")
+
+    tracks = []
+    diag = SmfDiagnostics()
+    pos = 8 + header_len
+    while pos < len(data):
+        if pos + 8 > len(data):
+            diag.trailing_bytes = len(data) - pos
+            break
+        chunk_type = data[pos : pos + 4]
+        chunk_len = int.from_bytes(data[pos + 4 : pos + 8], "big")
+        if pos + 8 + chunk_len > len(data):
+            if len(tracks) >= declared_tracks:
+                diag.trailing_bytes = len(data) - pos
+                break
+            raise TruncatedChunk(
+                f"{chunk_type!r} chunk declares {chunk_len} bytes past end of buffer"
+            )
+        payload = data[pos + 8 : pos + 8 + chunk_len]
+        pos += 8 + chunk_len
+        if chunk_type == b"MTrk":
+            events, end_tick, saw_end = track_events(payload)
+            tracks.append((events, end_tick))
+            diag.missing_end_of_track += not saw_end
+
+    notes = []
+
+    def close(onset, end, track, channel, pitch):
+        if end > onset:
+            notes.append(RawNote(onset, track, channel, pitch, end - onset))
+        else:
+            diag.zero_length_notes += 1
+
+    for track, (events, end_tick) in enumerate(tracks):
+        pending = {}
+        for tick, is_on, channel, pitch in events:
+            if is_on:
+                pending.setdefault((channel, pitch), deque()).append(tick)
+            elif pending.get((channel, pitch)):
+                close(pending[(channel, pitch)].popleft(), tick, track, channel, pitch)
+            else:
+                diag.orphan_note_offs += 1
+        for (channel, pitch), queue in sorted(pending.items()):
+            for onset in queue:
+                diag.unmatched_note_ons += 1
+                close(onset, end_tick, track, channel, pitch)
+    header = SmfHeader(format=fmt, track_count=len(tracks), division=division)
+    return header, notes, diag

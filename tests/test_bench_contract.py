@@ -14,7 +14,10 @@ from pathlib import Path
 import pytest
 
 from notezipf.fit import fit_nu
+from notezipf.smf import SmfDiagnostics, pair_notes, parse_smf
 from notezipf.stats import count_tokens
+
+from midibytes import end_of_track, note_off, note_on, simple_file, track_chunk
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,6 +40,18 @@ def test_count_table_fields_the_trace_reads():
     count = {name: count for name, _, _, count in _load("traced").LAYERS}["stats.count_tokens"]
     stream = [3, 1, 3, 2, 3, 1]
     assert count((stream,), count_tokens(stream)) == {"V": 3, "T": 6}
+
+
+def test_smf_fields_the_trace_reads():
+    counts = {name: count for name, _, _, count in _load("traced").LAYERS}
+    data = simple_file(
+        96, track_chunk(note_on(0, 60), note_on(0, 64), note_off(96, 60), end_of_track(48))
+    )
+    header, tracks, diag = parse_smf(data)
+    assert counts["smf.parse_smf"]((data,), (header, tracks, diag)) == {"bytes": len(data)}
+    # one note closes inside the track, the other at its end
+    args = (tracks, SmfDiagnostics())
+    assert counts["smf.pair_notes"](args, pair_notes(*args)) == {"notes": 2}
 
 
 def test_workload_check_fits_a_list_of_ints():

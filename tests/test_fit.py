@@ -226,6 +226,10 @@ class TestFitNu:
         with pytest.raises(DomainError, match="chi-square statistic exceeds the float range"):
             fit_nu(table_from_counts([10**300, 1, 1]))
 
+    def test_linear_residuals_beyond_float_range_are_a_domain_error(self):
+        with pytest.raises(DomainError, match="squared residuals exceeds the float range"):
+            fit_nu(table_from_counts([10**300, 1, 1]), residuals="linear")
+
     def test_serialization_round_trip(self):
         fit = fit_nu(table_from_counts(rank_law_counts(0.4, 300, 500.0)))
         payload = asdict(fit)

@@ -1,4 +1,5 @@
-"""Property tests: SMF write-then-decode round trips, tokenize against a
+"""Property tests: SMF write-then-decode round trips, the one-pass decoder
+against a two-pass reference on intact and mutated files, tokenize against a
 per-note classification, the fitted rank law's pinned endpoints
 n(0) = n0 and n(V) = 1, and the rank-law objective's run kernel against
 rank-by-rank sums."""
@@ -18,8 +19,17 @@ from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
 from notezipf.smf import RawNote, SmfDiagnostics, extract_notes, parse_smf
 from notezipf.stats import RankTable
 
-from _oracles import direct_log_sse, lgamma_log_sum
-from midibytes import end_of_track, meta, note_off, note_on, running, simple_file, track_chunk
+from _oracles import direct_log_sse, lgamma_log_sum, reference_extract_notes
+from midibytes import (
+    chunk,
+    end_of_track,
+    meta,
+    note_off,
+    note_on,
+    running,
+    simple_file,
+    track_chunk,
+)
 
 # (channel, pitch, onset, duration) of one note; a few favoured keys make
 # overlapping notes of one key, the case FIFO pairing is about, common
@@ -98,6 +108,50 @@ def test_smf_round_trip(tracks, division, data):
         for channel, pitch, onset, duration in track_notes
     )
     assert sorted((n.track, n.channel, n.pitch, n.onset, n.duration) for n in notes) == expected
+
+
+def decoded_or_error(decode, buffer):
+    """decode(buffer), or the type and message of whatever it raised, so
+    that two decoders failing differently compare unequal."""
+    try:
+        return decode(buffer)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# overwritten bytes favour the status bytes the decoder branches on
+MUTATED_BYTE = st.one_of(
+    st.sampled_from([0x00, 0x7F, 0x80, 0x90, 0xC0, 0xF0, 0xF4, 0xF7, 0xFF]), st.integers(0, 255)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(NOTES, min_size=1, max_size=4),
+    st.integers(1, 0x7FFF),
+    st.integers(0, 4),
+    st.data(),
+)
+def test_decoder_matches_two_pass_reference(tracks, division, mutations, data):
+    # notes of one key may overlap in any order here; a track may be cut
+    # short, which leaves note-ons of several keys open, and up to four bytes
+    # after the 14-byte MThd chunk are overwritten.  So orphans, unmatched
+    # note-ons, zero-length pairs and the track decoder's errors all come up;
+    # the header, the notes in order and the diagnostics, or the error's type
+    # and message, must match
+    chunks = []
+    for notes in tracks:
+        payload = track_bytes(notes, data)[8:]
+        if data.draw(st.booleans()):
+            payload = payload[: data.draw(st.integers(0, len(payload)))]
+        chunks.append(chunk(b"MTrk", payload))
+    buffer = bytearray(simple_file(division, *chunks))
+    for _ in range(mutations):
+        buffer[data.draw(st.integers(14, len(buffer) - 1))] = data.draw(MUTATED_BYTE)
+    buffer = bytes(buffer)
+    assert decoded_or_error(extract_notes, buffer) == decoded_or_error(
+        reference_extract_notes, buffer
+    )
 
 
 def tokenize_per_note(notes, division, min_ticks, grid):

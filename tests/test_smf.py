@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -217,6 +218,26 @@ class TestParseSmf:
         assert [(n.pitch, n.onset, n.duration) for n in notes] == [(60, 0, 50)]
         assert diag.unmatched_note_ons == 1
 
+    def test_unmatched_note_ons_close_in_key_order(self):
+        # open onsets close at the track's end by (channel, pitch), then
+        # onset, whatever order the note-ons came in
+        data = simple_file(
+            96,
+            track_chunk(
+                note_on(0, 64, channel=1),
+                note_on(0, 62),
+                note_on(5, 60, channel=1),
+                note_on(5, 62),
+                note_on(0, 61),
+                end_of_track(10),
+            ),
+        )
+        _, notes, diag = extract_notes(data)
+        assert [(n.channel, n.pitch, n.onset) for n in notes] == [
+            (0, 61, 10), (0, 62, 0), (0, 62, 10), (1, 60, 5), (1, 64, 0)
+        ]
+        assert diag.unmatched_note_ons == 5
+
     def test_orphan_note_off_counted(self):
         data = simple_file(96, track_chunk(note_off(5, 60), end_of_track()))
         _, notes, diag = extract_notes(data)
@@ -405,3 +426,29 @@ class TestProperties:
         notes, diag = pair_notes([], SmfDiagnostics())
         assert notes == []
         assert diag == SmfDiagnostics()
+
+    def test_decoding_builds_no_per_event_list(self):
+        # notes are paired while the track is read, so the decoder's peak is
+        # the notes it returns plus little; a list of every event first would
+        # more than double it (about 2.3x on this file)
+        def running_status_track(n, seed):
+            rng = random.Random(seed)
+            events = []
+            for i in range(n):
+                pitch, delta = rng.randint(36, 96), rng.randint(0, 200)
+                # a note-on, then running status for the rest of the track
+                events.append(running(delta, pitch, 80) if i else note_on(delta, pitch, 80))
+                events.append(running(rng.randint(1, 300), pitch, 0))
+            return track_chunk(*events, end_of_track())
+
+        data = simple_file(480, running_status_track(10_000, 1), running_status_track(10_000, 2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, notes, diag = extract_notes(data)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(notes) == 20_000 and diag == SmfDiagnostics()
+        assert peak - before <= 1.5 * (retained - before)
