@@ -207,9 +207,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _write_json(out_dir / "sim_report.json", payload)
     if args.emit_tokens:  # in chunks, so the stream is never one string
         tokens = result.tokens
+        names = [str(i) for i in range(result.V + 1)]  # ids are dense in 1..V
         with (out_dir / "tokens.txt").open("w", encoding="utf-8") as stream:
             for start in range(0, len(tokens), _TOKEN_CHUNK):
-                stream.write("\n".join(map(str, tokens[start : start + _TOKEN_CHUNK])) + "\n")
+                chunk = tokens[start : start + _TOKEN_CHUNK]
+                stream.write("\n".join(map(names.__getitem__, chunk)) + "\n")
     summary = f"mode={config.mode} steps={config.steps} seed={config.seed} V={result.V}"
     if verify is not None:
         summary += f" nu_hat={verify.nu_hat!r} gamma_hat={verify.gamma_hat!r}"

@@ -15,38 +15,67 @@ Reproducibility contract: the generator is SplitMix64 (Steele, Lea & Flood's
 64-bit mixer), consuming one draw for the innovation decision and, only on
 reuse steps, one more for the history index.  Identical (mode, parameter,
 steps, seed) therefore produce byte-identical streams on any platform.
+
+SplitMix64's k-th output (k = 1, 2, ...) is mix(seed + k*gamma mod 2**64), a
+pure function of k.  So the outputs are computed a block at a time, as the
+128-bit lanes of one Python int, and the draw order is unchanged.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
 
 from .analysis import analyze_tokens
 from .errors import InsufficientSupport
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_LANES = 1 << 12  # draws per block; as fast as 2**14 or 2**16, and smaller
 
 
-class SplitMix64:
-    """SplitMix64 generator; the algorithm identity is part of the contract."""
+def _pack(words) -> int:
+    """The int whose 128-bit lanes hold words, the first in the lowest lane."""
+    return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words), "little")
 
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+@cache
+def _lane_constants() -> tuple[int, int, int]:
+    """Per lane i: i*gamma mod 2**64, then 1, then 2**64 - 1.
 
-    def next_float(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+    Built on the first draw, not at import, so commands that never simulate
+    do not pay for them.
+    """
+    ones = _pack([1] * _LANES)
+    return _pack(i * _GAMMA & _MASK64 for i in range(_LANES)), ones, ones * _MASK64
 
-    def next_index(self, n: int) -> int:
-        """Uniform integer in [0, n) by 64-bit multiply-shift."""
-        return (self.next_u64() * n) >> 64
+
+def _u64_blocks(seed: int) -> Iterator[array]:
+    steps, ones, low = _lane_constants()
+    state = seed & _MASK64  # the state before the block's first draw
+    while True:
+        z = (steps + ((state + _GAMMA) & _MASK64) * ones) & low
+        # Mask every lane to 64 bits before it multiplies: the shifts pull the
+        # next lane's low bits into this lane's high half, and a product of
+        # that garbage would carry into the next lane.
+        z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+        z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+        z ^= z >> 31
+        words = array("Q", z.to_bytes(16 * _LANES, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        yield words[::2]  # each lane's low word
+        state = (state + _LANES * _GAMMA) & _MASK64
+
+
+def _u64_stream(seed: int) -> Iterator[int]:
+    """SplitMix64's outputs for seed, in order; the same stream as stepping
+    the scalar generator, computed a block at a time."""
+    return chain.from_iterable(_u64_blocks(seed))
 
 
 @dataclass(frozen=True)
@@ -94,19 +123,26 @@ class SimResult:
 
 def simulate(config: SimConfig) -> SimResult:
     """Run the process; step 1 always introduces token 1."""
-    rng = SplitMix64(config.seed)
+    draw = _u64_stream(config.seed).__next__
     tokens = [1]
+    append = tokens.append
     v = 1
     constant = config.mode == "constant"
     alpha = config.alpha if constant else 0.0
     nu = config.nu if not constant else 0.0
+    exponent = nu - 1.0
     for t in range(2, config.steps + 1):
-        p_new = alpha if constant else min(1.0, nu * float(t) ** (nu - 1.0))
-        if rng.next_float() < p_new:
+        if constant:
+            p_new = alpha
+        else:  # min(1.0, p_new) by min's own rule, without the call
+            p_new = nu * float(t) ** exponent
+            p_new = p_new if p_new < 1.0 else 1.0
+        # a uniform double in [0, 1) from the top 53 bits
+        if (draw() >> 11) * 2.0**-53 < p_new:
             v += 1
-            tokens.append(v)
-        else:
-            tokens.append(tokens[rng.next_index(t - 1)])
+            append(v)
+        else:  # a uniform history index in [0, t - 1) by 64-bit multiply-shift
+            append(tokens[(draw() * (t - 1)) >> 64])
     return SimResult(tokens=tuple(tokens), V=v)
 
 

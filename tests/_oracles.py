@@ -129,6 +129,55 @@ def enumerate_simon_distribution(steps: int, innovation_probs, rule: str):
     return dist
 
 
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """SplitMix64 generator; the algorithm identity is part of the contract."""
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def next_float(self) -> float:
+        """Uniform double in [0, 1) from the top 53 bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def next_index(self, n: int) -> int:
+        """Uniform integer in [0, n) by 64-bit multiply-shift."""
+        return (self.next_u64() * n) >> 64
+
+
+def reference_simulate(config):
+    """The simulator's step loop on the scalar SplitMix64, one state step per draw.
+
+    One draw decides innovation; only a reuse step takes a second draw, for the
+    history index.  Returns a notezipf SimResult.
+    """
+    from notezipf.simulate import SimResult
+
+    rng = SplitMix64(config.seed)
+    tokens = [1]
+    v = 1
+    constant = config.mode == "constant"
+    alpha = config.alpha if constant else 0.0
+    nu = config.nu if not constant else 0.0
+    for t in range(2, config.steps + 1):
+        p_new = alpha if constant else min(1.0, nu * float(t) ** (nu - 1.0))
+        if rng.next_float() < p_new:
+            v += 1
+            tokens.append(v)
+        else:
+            tokens.append(tokens[rng.next_index(t - 1)])
+    return SimResult(tokens=tuple(tokens), V=v)
+
+
 def direct_log_sse(log_count: float, r1: int, r2: int, a: float, b: float, z: float) -> float:
     """Log-space SSE of ranks r1..r2 against n(r) = (a + b*r)**(-z), rank by rank.
 

@@ -1,8 +1,9 @@
 """Property tests: SMF write-then-decode round trips, the one-pass decoder
 against a two-pass reference on intact and mutated files, tokenize against a
 per-note classification, the fitted rank law's pinned endpoints
-n(0) = n0 and n(V) = 1, and the rank-law objective's run kernel against
-rank-by-rank sums."""
+n(0) = n0 and n(V) = 1, the rank-law objective's run kernel against
+rank-by-rank sums, and the block-computed simulator against the scalar
+SplitMix64 step loop."""
 
 import math
 
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 from notezipf.errors import EmptyCorpus
 from notezipf.fit import _sse_log, fit_nu, predict_n
 from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
+from notezipf.simulate import _LANES, SimConfig, simulate
 from notezipf.smf import RawNote, SmfDiagnostics, extract_notes, parse_smf
 from notezipf.stats import RankTable
 
-from _oracles import direct_log_sse, lgamma_log_sum, reference_extract_notes
+from _oracles import direct_log_sse, lgamma_log_sum, reference_extract_notes, reference_simulate
 from midibytes import (
     chunk,
     end_of_track,
@@ -275,3 +277,25 @@ def test_run_kernel_cross_term_matches_lgamma_form(c, n, r1, u_last, nu):
     # random runs the worst miss used 0.86 of eps, so 4 eps is the bound
     slack = 4.0 * EPS * (abs(math.lgamma(c + r2 + 1)) + abs(math.lgamma(c + r1)))
     assert abs((plus - minus) / (4.0 * s * z) - exact) <= 1e-12 * abs(exact) + slack
+
+
+# up to about three blocks of draws at alpha = 1 and six at alpha = 0
+SIM_STEPS = st.integers(1, 40) | st.integers(1, 3 * _LANES)
+SIM_SEEDS = st.sampled_from([0, 2**64 - 1, -1, 2**70 + 5]) | st.integers(-(2**70), 2**70)
+SIM_CONFIGS = st.builds(
+    lambda steps, seed, alpha: SimConfig("constant", steps, seed, alpha=alpha),
+    SIM_STEPS,
+    SIM_SEEDS,
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+) | st.builds(
+    lambda steps, seed, nu: SimConfig("sublinear", steps, seed, nu=nu),
+    SIM_STEPS,
+    SIM_SEEDS,
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SIM_CONFIGS)
+def test_simulate_matches_scalar_step_loop(config):
+    assert simulate(config) == reference_simulate(config)

@@ -1,13 +1,20 @@
+import hashlib
 import math
+import os
 import statistics
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
+import notezipf
 from notezipf.errors import DegenerateTable, InsufficientSupport
-from notezipf.simulate import SimConfig, SimResult, SplitMix64, simulate, verify_zipf
+from notezipf.simulate import _LANES, SimConfig, SimResult, _u64_stream, simulate, verify_zipf
 
-from _oracles import enumerate_simon_distribution
+from _oracles import SplitMix64, enumerate_simon_distribution
 
 
 class TestSplitMix64:
@@ -30,6 +37,31 @@ class TestSplitMix64:
         rng = SplitMix64(7)
         for _ in range(1000):
             assert 0 <= rng.next_index(13) < 13
+
+
+class TestU64Stream:
+    def test_known_stream(self):
+        # Vigna's seed-0 vector again, from the block-computed stream
+        assert list(islice(_u64_stream(0), 3)) == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -1, 2**70 + 5])
+    def test_matches_scalar_generator_across_blocks(self, seed):
+        rng = SplitMix64(seed)
+        n = 3 * _LANES + 5  # three block boundaries
+        assert list(islice(_u64_stream(seed), n)) == [rng.next_u64() for _ in range(n)]
+
+    def test_lane_constants_wait_for_the_first_draw(self):
+        # every command imports the simulator; only `simulate` should pay for them
+        code = (
+            "import notezipf.cli; from notezipf.simulate import _lane_constants; "
+            "assert _lane_constants.cache_info().currsize == 0"
+        )
+        src = str(Path(notezipf.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestSimConfig:
@@ -60,6 +92,15 @@ class TestSimulate:
     def test_reproducible(self):
         config = SimConfig(mode="sublinear", steps=5000, seed=99, nu=0.5)
         assert simulate(config).tokens == simulate(config).tokens
+
+    def test_million_step_stream_pinned(self):
+        # the tokens.txt bytes of `simulate --mode sublinear --nu 0.5
+        # --steps 1000000 --seed 1 --emit-tokens`, as the scalar loop wrote them
+        tokens = simulate(SimConfig(mode="sublinear", steps=1_000_000, seed=1, nu=0.5)).tokens
+        text = "\n".join(map(str, tokens)) + "\n"
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "109cec2823f417293b39d8cda6fe0bb25ca7d1a7916889668ba42b4815ef755b"
+        )
 
     def test_different_seeds_differ(self):
         a = simulate(SimConfig(mode="constant", steps=1000, seed=1, alpha=0.3))
