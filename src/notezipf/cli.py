@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -148,18 +149,72 @@ def _compare_row(report: dict) -> dict:
     return row
 
 
+def _compare_one(path: str, args: argparse.Namespace, grid: DurationGrid) -> tuple:
+    """(path, compare row, None), or (path, None, message) when the file fails.
+
+    Module-level with picklable arguments, so a pool worker can run it under
+    any start method.
+    """
+    try:
+        return path, _compare_row(_analyze(path, args, grid)[0]), None
+    except (NoteZipfError, OSError, ValueError) as exc:
+        return path, None, str(exc)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _compare_results(paths: list[str], args: argparse.Namespace, grid: DurationGrid):
+    """_compare_one of every path, in input order.
+
+    With n = min(usable CPUs, files) > 1, file i goes to a pool of n - 1
+    worker processes unless i % n == 0; this process analyzes those files
+    meanwhile.  A file whose worker died is analyzed again here, so the
+    results are the serial loop's.  With n == 1 the files are analyzed
+    lazily in this process and no pool module is imported.
+    """
+    n = min(_usable_cpus(), len(paths))
+    if n == 1:
+        return (_compare_one(path, args, grid) for path in paths)
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    results: list = [None] * len(paths)
+    with ProcessPoolExecutor(n - 1) as pool:
+        try:
+            futures = {
+                i: pool.submit(_compare_one, path, args, grid)
+                for i, path in enumerate(paths)
+                if i % n
+            }
+        except BrokenProcessPool:  # a worker died before every file was handed out
+            futures = {}
+        for i in range(0, len(paths), n):
+            results[i] = _compare_one(paths[i], args, grid)
+        for i, future in futures.items():
+            try:
+                results[i] = future.result()
+            except BrokenProcessPool:
+                pass  # analyzed again below, once the pool is shut down
+    return [result or _compare_one(path, args, grid) for path, result in zip(paths, results)]
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     grid = _load_grid(args)
     if grid is None:
         return 1
     rows: list[dict] = []
     errors: list[dict] = []
-    for path in args.paths:
-        try:
-            rows.append(_compare_row(_analyze(path, args, grid)[0]))
-        except (NoteZipfError, OSError, ValueError) as exc:
-            errors.append({"path": path, "error": str(exc)})
-            print(f"error: {path}: {exc}", file=sys.stderr)
+    for path, row, error in _compare_results(args.paths, args, grid):
+        if error is None:
+            rows.append(row)
+        else:
+            errors.append({"path": path, "error": error})
+            print(f"error: {path}: {error}", file=sys.stderr)
     rows.sort(key=lambda r: (r["nu"] is None, r["nu"] if r["nu"] is not None else 0.0, r["path"]))
 
     out_dir = Path(args.out)

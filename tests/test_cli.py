@@ -1,7 +1,14 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import notezipf
+from notezipf import cli
 from notezipf.cli import main
 
 from _oracles import rank_law_counts
@@ -276,6 +283,80 @@ class TestCompare:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"MThd\x00\x00\x00\x06\x00\x09\x00\x00\x00\x60")
         assert main(["compare", str(bad), "--out", str(tmp_path / "out")]) == 1
+
+    def mixed_inputs(self, tmp_path):
+        """Eight inputs: good text and MIDI files interleaved with three that fail."""
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        files = {}
+        for i, nu in enumerate((0.3, 0.45, 0.6, 0.75)):
+            counts = rank_law_counts(nu, 150, 250.0)
+            words = [f"w{chr(97 + r // 26)}{chr(97 + r % 26)}" for r, n in enumerate(counts)
+                     for _ in range(n)]
+            files[f"good{i}.txt"] = " ".join(words).encode()
+        files["good.mid"] = varied_midi_bytes()
+        files["truncated.mid"] = varied_midi_bytes()[:-7]
+        files["empty.txt"] = b"1234 5678 !!!"
+        files["latin1.txt"] = "caf\u00e9 na\u00efve".encode("latin-1")
+        order = ["good0.txt", "truncated.mid", "good1.txt", "empty.txt",
+                 "good2.txt", "latin1.txt", "good.mid", "good3.txt"]
+        for name in order:
+            (inputs / name).write_bytes(files[name])
+        return [str(inputs / name) for name in order]
+
+    def run_compare(self, paths, out, cpus, monkeypatch, capfd):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        code = main(["compare", *paths, "--out", str(out)])
+        outputs = {name: (out / name).read_bytes() for name in ("compare.json", "compare.csv")}
+        return code, outputs, capfd.readouterr()
+
+    def test_parallel_output_is_the_serial_output(self, tmp_path, monkeypatch, capfd):
+        paths = self.mixed_inputs(tmp_path)
+        serial = self.run_compare(paths, tmp_path / "serial", 1, monkeypatch, capfd)
+        parallel = self.run_compare(paths, tmp_path / "parallel", 3, monkeypatch, capfd)
+        assert serial == parallel
+        code, outputs, captured = serial
+        assert code == 0
+        assert len(json.loads(outputs["compare.json"])["rows"]) == 5
+        failed = [paths[1], paths[3], paths[5]]
+        assert [line.split(": ")[1] for line in captured.err.splitlines()] == failed
+        assert all(line.startswith("error: ") for line in captured.err.splitlines())
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the dying worker reaches the pool by fork",
+    )
+    def test_files_of_a_dead_worker_are_analyzed_here(self, tmp_path, monkeypatch, capfd):
+        paths = self.mixed_inputs(tmp_path)
+        serial = self.run_compare(paths, tmp_path / "serial", 1, monkeypatch, capfd)
+        main_pid, analyze, died = os.getpid(), cli._analyze, tmp_path / "died"
+
+        def dies_in_a_worker(path, args, grid):
+            if path == paths[2] and os.getpid() != main_pid:
+                died.touch()
+                os._exit(1)
+            return analyze(path, args, grid)
+
+        monkeypatch.setattr(cli, "_analyze", dies_in_a_worker)
+        parallel = self.run_compare(paths, tmp_path / "parallel", 3, monkeypatch, capfd)
+        assert died.exists()
+        assert parallel == serial  # so no traceback either
+        assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
+    # bench/run.py times this import; a one-file compare runs in-process too
+    corpus = tmp_path / "c.tokens"
+    write_token_corpus(corpus, rank_law_counts(0.5, 100, 200.0))
+    code = (
+        "import sys; from notezipf.cli import build_parser, main; build_parser(); "
+        "pools = lambda: {'multiprocessing', 'concurrent.futures'} & set(sys.modules); "
+        "assert not pools(), pools(); "
+        f"assert main(['compare', {str(corpus)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
+        "assert not pools(), pools()"
+    )
+    src = str(Path(notezipf.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare", "simulate"])
