@@ -41,7 +41,8 @@ def read_tokens(
     and "text" otherwise.  MIDI notes shorter than min_ticks are dropped and
     durations are classified on grid; the diagnostics then hold the decoder's
     tallies plus dropped_short and out_of_grid.  Text and token lists must be
-    UTF-8 (DecodeError otherwise) and report no diagnostics.
+    UTF-8 (DecodeError otherwise), lose one leading byte-order mark and report
+    no diagnostics.
     """
     data = Path(path).read_bytes()
     if kind == "auto":
@@ -59,6 +60,11 @@ def read_tokens(
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DecodeError(f"{path} is not valid UTF-8: {exc}") from exc
+    # the text is tokenized next; the bytes are not needed for it
+    del data
+    # a byte-order mark is no character of the first token; stripped after
+    # decoding, so a DecodeError's offsets are offsets into the file
+    text = text.removeprefix("\ufeff")
     if kind == "text":
         return kind, tokenize_text(text), {}
     return kind, [t for t in map(str.strip, text.splitlines()) if t], {}

@@ -9,6 +9,7 @@ cannot hide behind an oracle that shares it.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 
@@ -176,6 +177,16 @@ def reference_simulate(config):
         else:
             tokens.append(tokens[rng.next_index(t - 1)])
     return SimResult(tokens=tuple(tokens), V=v)
+
+
+# a word: letters (\w minus digits and underscore) joined by single internal
+# apostrophes or hyphens
+_REFERENCE_WORD = re.compile(r"[^\W\d_]+(?:['-][^\W\d_]+)*")
+
+
+def reference_tokenize_text(text: str) -> list[str]:
+    """Word tokens by the regex definition alone, on the lowercased text."""
+    return _REFERENCE_WORD.findall(text.lower())
 
 
 def direct_log_sse(log_count: float, r1: int, r2: int, a: float, b: float, z: float) -> float:

@@ -2,8 +2,8 @@
 against a two-pass reference on intact and mutated files, tokenize against a
 per-note classification, the fitted rank law's pinned endpoints
 n(0) = n0 and n(V) = 1, the rank-law objective's run kernel against
-rank-by-rank sums, and the block-computed simulator against the scalar
-SplitMix64 step loop."""
+rank-by-rank sums, the block-computed simulator against the scalar
+SplitMix64 step loop, and the ASCII word tokenizer against the word regex."""
 
 import math
 
@@ -20,8 +20,15 @@ from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
 from notezipf.simulate import _LANES, SimConfig, simulate
 from notezipf.smf import RawNote, SmfDiagnostics, extract_notes, parse_smf
 from notezipf.stats import RankTable
+from notezipf.text import tokenize_text
 
-from _oracles import direct_log_sse, lgamma_log_sum, reference_extract_notes, reference_simulate
+from _oracles import (
+    direct_log_sse,
+    lgamma_log_sum,
+    reference_extract_notes,
+    reference_simulate,
+    reference_tokenize_text,
+)
 from midibytes import (
     chunk,
     end_of_track,
@@ -299,3 +306,45 @@ SIM_CONFIGS = st.builds(
 @given(SIM_CONFIGS)
 def test_simulate_matches_scalar_step_loop(config):
     assert simulate(config) == reference_simulate(config)
+
+
+# ASCII text weighted toward the joiners and runs of them, with letters of
+# both cases, digits, underscore and every ASCII whitespace or control
+# character; any other ASCII character now and then
+ASCII_PIECES = (
+    st.sampled_from(["'", "-", "''", "--", "'-", "-'", "'''", "-'-"])
+    | st.sampled_from(list("abzABZ"))
+    | st.sampled_from(list("09_ .,"))
+    | st.sampled_from([chr(i) for i in range(32)] + ["\x7f"])
+    | st.characters(max_codepoint=127)
+)
+ASCII_TEXT = st.lists(ASCII_PIECES, max_size=60).map("".join)
+# the same with non-ASCII letters, a digit and a quote, which take the regex path
+MIXED_TEXT = st.lists(ASCII_PIECES | st.sampled_from(["é", "É", "İ", "²", "’"]), max_size=60).map(
+    "".join
+)
+
+
+def assert_tokenizes_as_reference(text):
+    tokens = tokenize_text(text)
+    assert type(tokens) is list and all(type(token) is str for token in tokens)
+    assert tokens == reference_tokenize_text(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ASCII_TEXT)
+@example("a-'b")
+@example("--a--")
+@example("'")
+@example("x'")
+@example("a--b")
+@example("it's-a")
+@example("\x1ca\x1fb")
+def test_ascii_tokenizer_matches_word_regex(text):
+    assert_tokenizes_as_reference(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MIXED_TEXT)
+def test_mixed_tokenizer_matches_word_regex(text):
+    assert_tokenizes_as_reference(text)

@@ -71,3 +71,18 @@ class TestReadTextTokens:
         for kind in ("auto", "text", "tokens"):
             with pytest.raises(DecodeError, match="bad.txt is not valid UTF-8"):
                 read_tokens(str(path), kind)
+
+    def test_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path):
+        path = tmp_path / "bom.tokens"
+        path.write_bytes(b"\xef\xbb\xbfa\nb\na\nc\na\nb\n")
+        _, tokens, _ = read_tokens(str(path), "tokens")
+        assert tokens == ["a", "b", "a", "c", "a", "b"]
+        assert count_tokens(tokens).V == 3
+
+    def test_byte_order_mark_leaves_ascii_text_tokens_alone(self, tmp_path):
+        text = b"A-b it's, well-known THING\n"
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        for kind in ("auto", "text"):
+            assert read_tokens(str(bom), kind) == read_tokens(str(plain), kind)
