@@ -7,10 +7,10 @@ survive (the regex only admits them between letter runs).  Hyphenated
 compounds therefore count as single words.
 
 _WORD is the definition.  ASCII text, where letters are a-z after
-lowercasing, is split by string operations that give the same tokens about
-four times faster: every character but a letter or a joiner becomes a space,
-a joiner without a letter on both sides becomes a space, and str.split does
-the rest.
+lowercasing, is split by string operations that give the same tokens three
+to four times faster: every character but a letter or a joiner becomes a
+space, a joiner without a letter on both sides becomes a space, and
+str.split does the rest.
 """
 
 from __future__ import annotations
