@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable
 
 from .errors import DegenerateTable, DomainError, NoRoot, NonConvergence
@@ -229,13 +228,12 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
     V, T = table.V, table.T
     if V < 3:
         raise DegenerateTable(f"need at least 3 distinct tokens to fit, got {V}")
-    if counts[0] == counts[-1]:
+    if len(table.runs) == 1:
         raise DegenerateTable("all counts equal; the table carries no rank structure")
-    log_counts = [math.log(c) for c in counts]
     ranked, runs = [], []
     r = 1
-    for obs, run in groupby(log_counts):
-        n = sum(1 for _ in run)
+    for count, n in table.runs:
+        obs = math.log(count)
         if n < _RUN_MIN:
             ranked.extend((s, obs) for s in range(r, r + n))
         else:
@@ -278,7 +276,7 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
         n0=n0,
         a=a,
         b=b,
-        sse_log=_sse_log(enumerate(log_counts, start=1), [], a, b, z),
+        sse_log=_sse_log(enumerate(map(math.log, counts), start=1), [], a, b, z),
         chi2=chi2,
         dof=dof,
         p_value=p_value,

@@ -1,7 +1,7 @@
 """Rank-frequency tables and occurrence spectra for arbitrary token streams.
 
-Tokens only need to be hashable.  A table keeps the counts alone, so it is a
-pure function of the token multiset, independent of stream order.
+Tokens only need to be hashable.  A table keeps runs of equal counts alone,
+so it is a pure function of the token multiset, independent of stream order.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Hashable, Iterable, Mapping
 
-from .errors import EmptyCorpus, InsufficientSupport
+from .errors import DomainError, EmptyCorpus, InsufficientSupport
 from .numerics import LogLogFit, loglog_ols
 
 DEFAULT_SPECTRUM_N_MAX = 50
@@ -18,27 +18,24 @@ DEFAULT_SPECTRUM_N_MAX = 50
 class RankTable:
     """Occurrence counts of the distinct tokens, most frequent first.
 
-    Built from (token, count) pairs in rank order, the shape
-    ``Counter.most_common()`` returns.  Only the counts are kept: no estimator
-    and no output reads a token.
+    Built from (token, count) pairs in any order.  Only the runs are kept:
+    ``runs`` holds one (count, ranks) pair per distinct count, in decreasing
+    count, where ranks is how many tokens share that count.  No estimator and
+    no output reads a token.
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = ("runs", "V", "T")
 
     def __init__(self, entries: Iterable[tuple[Hashable, int]]) -> None:
-        self._counts = tuple(count for _, count in entries)
-
-    @property
-    def V(self) -> int:
-        return len(self._counts)
-
-    @property
-    def T(self) -> int:
-        return sum(self._counts)
+        self.runs = tuple(sorted(Counter(count for _, count in entries).items(), reverse=True))
+        if self.runs and self.runs[-1][0] <= 0:
+            raise DomainError(f"counts must be positive, got {self.runs[-1][0]}")
+        self.V = sum(ranks for _, ranks in self.runs)
+        self.T = sum(count * ranks for count, ranks in self.runs)
 
     def counts(self) -> list[int]:
         """Occurrence counts by rank (rank 1 first)."""
-        return list(self._counts)
+        return [count for count, ranks in self.runs for _ in range(ranks)]
 
 
 def count_tokens(tokens: Iterable[Hashable]) -> RankTable:
@@ -46,7 +43,7 @@ def count_tokens(tokens: Iterable[Hashable]) -> RankTable:
     counter = Counter(tokens)
     if not counter:
         raise EmptyCorpus("no tokens to count")
-    return RankTable(counter.most_common())
+    return RankTable(counter.items())
 
 
 def spectrum(table: RankTable) -> dict[int, int]:
@@ -54,7 +51,7 @@ def spectrum(table: RankTable) -> dict[int, int]:
 
     Keys are in increasing n and only n with w(n) > 0 appear.
     """
-    return dict(sorted(Counter(table.counts()).items()))
+    return dict(reversed(table.runs))
 
 
 def fit_spectrum_gamma(spec: Mapping[int, float], n_max: int) -> LogLogFit:
@@ -94,7 +91,7 @@ def fit_rank_slope(table: RankTable) -> LogLogFit:
     slope information.
     """
     counts = table.counts()
-    r_max = max((r for r, c in enumerate(counts, start=1) if c >= 2), default=0)
+    r_max = sum(ranks for count, ranks in table.runs if count >= 2)
     r_min = max(3, table.V // 100)
     points = [(float(r), float(counts[r - 1])) for r in range(r_min, r_max + 1)]
     if len(points) < 3:

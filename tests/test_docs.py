@@ -38,3 +38,18 @@ def test_runtime_imports_only_the_standard_library():
             for module in modules:
                 top = module.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "notezipf", (source.name, module)
+
+
+def test_runtime_modules_use_every_name_they_import():
+    for source in sorted((ROOT / "src" / "notezipf").glob("*.py")):
+        if source.name == "__init__.py":  # imports only to re-export
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (source.name, sorted(imported - used))

@@ -3,9 +3,11 @@ against a two-pass reference on intact and mutated files, tokenize against a
 per-note classification, the fitted rank law's pinned endpoints
 n(0) = n0 and n(V) = 1, the rank-law objective's run kernel against
 rank-by-rank sums, the block-computed simulator against the scalar
-SplitMix64 step loop, and the ASCII word tokenizer against the word regex."""
+SplitMix64 step loop, the ASCII word tokenizer against the word regex, and
+the rank table's runs against a plain Counter."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -19,7 +21,7 @@ from notezipf.fit import _sse_log, fit_nu, predict_n
 from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
 from notezipf.simulate import _LANES, SimConfig, simulate
 from notezipf.smf import RawNote, SmfDiagnostics, extract_notes, parse_smf
-from notezipf.stats import RankTable
+from notezipf.stats import RankTable, count_tokens, spectrum
 from notezipf.text import tokenize_text
 
 from _oracles import (
@@ -348,3 +350,27 @@ def test_ascii_tokenizer_matches_word_regex(text):
 @given(MIXED_TEXT)
 def test_mixed_tokenizer_matches_word_regex(text):
     assert_tokenizes_as_reference(text)
+
+
+# few distinct values, so that tied counts (runs longer than one rank) are common
+TOKEN_LISTS = (
+    st.lists(st.integers(0, 12), min_size=1, max_size=120)
+    | st.lists(st.sampled_from(["a", "b", "ab", "", "é"]) | st.text(max_size=2), min_size=1)
+    | st.lists(
+        st.integers(0, 5) | st.text("xy", max_size=2) | st.tuples(st.integers(0, 2)) | st.none(),
+        min_size=1,
+        max_size=120,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TOKEN_LISTS)
+def test_rank_table_runs_match_a_counter(tokens):
+    counts = sorted(Counter(tokens).values(), reverse=True)
+    table = count_tokens(tokens)
+    assert table.counts() == counts
+    assert (table.V, table.T) == (len(counts), sum(counts))
+    assert list(spectrum(table).items()) == sorted(Counter(counts).items())
+    assert sum(ranks for _, ranks in table.runs) == len(counts)
+    assert all(a > b for (a, _), (b, _) in zip(table.runs, table.runs[1:]))

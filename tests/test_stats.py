@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from notezipf.errors import EmptyCorpus, InsufficientSupport
+from notezipf.errors import DomainError, EmptyCorpus, InsufficientSupport
+from notezipf.fit import fit_nu
 from notezipf.stats import (
     RankTable,
     count_tokens,
@@ -53,6 +54,35 @@ class TestCountTokens:
         table = count_tokens([1, "a", (2,), "a", 1, (2,)])
         assert (table.V, table.T, table.counts()) == (3, 6, [2, 2, 2])
         assert not hasattr(table, "entries")
+
+
+class TestRankTable:
+    def test_runs_in_decreasing_count(self):
+        table = RankTable([("a", 5), ("b", 2), ("c", 2), ("d", 1)])
+        assert table.runs == ((5, 1), (2, 2), (1, 1))
+        assert (table.V, table.T, table.counts()) == (4, 10, [5, 2, 2, 1])
+
+    def test_entries_in_any_order(self):
+        rng = random.Random(7)
+        entries = [(i, c) for i, c in enumerate([40, 40, 9, 5, 5, 5, 3, 2, 2, 1, 1, 1, 1])]
+        reference = RankTable(entries)
+        reference_fit = fit_nu(reference)
+        for _ in range(10):
+            rng.shuffle(entries)
+            table = RankTable(entries)
+            assert table.runs == reference.runs
+            assert table.counts() == reference.counts()
+            assert (table.V, table.T) == (reference.V, reference.T)
+            assert fit_nu(table) == reference_fit
+
+    def test_out_of_order_counts_are_ranked(self):
+        table = RankTable([("a", 1), ("b", 5), ("c", 2), ("d", 1)])
+        assert table.counts() == [5, 2, 1, 1]
+
+    @pytest.mark.parametrize("smallest", [0, -1])
+    def test_count_below_one_is_a_domain_error(self, smallest):
+        with pytest.raises(DomainError):
+            RankTable([("a", 3), ("b", 1), ("c", smallest)])
 
 
 class TestSpectrum:
