@@ -1,17 +1,21 @@
 """The analysis pipeline: one reader per input file, one chain of estimators.
 
-read_tokens turns a MIDI, text or token-list file into a token stream plus
-reader diagnostics.  analyze_tokens counts a stream, builds its occurrence
-spectrum and runs the three estimators (rank-law fit, spectrum exponent,
-rank-tail slope).  The CLI and the simulator's verify_zipf both go through
-analyze_tokens, so count -> spectrum -> window -> fit exists once.
+read_tokens turns a MIDI, text or token-list file into a token list plus
+reader diagnostics.  The CLI reads through _stream_tokens, which leaves the
+tokens of a text or token file a lazy stream, so their list never exists.
+analyze_tokens counts a stream, builds its occurrence spectrum and runs the
+three estimators (rank-law fit, spectrum exponent, rank-tail slope).  The CLI
+and the simulator's verify_zipf both go through analyze_tokens, so
+count -> spectrum -> window -> fit exists once.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Iterator
 
 from .errors import DecodeError, DegenerateTable, InsufficientSupport, NoRoot, NoteZipfError
 from .fit import SimonFit, fit_nu
@@ -29,12 +33,18 @@ from .stats import (
 from .text import tokenize_text
 
 
+# text and token files are tokenized in slices of at least this many characters
+_CHUNK = 65536
+_TEXT_CUT = re.compile(r"\s")
+_LINE_CUT = re.compile("\n")
+
+
 def read_tokens(
     path: str,
     kind: str = "auto",
     grid: DurationGrid = DEFAULT_GRID,
     min_ticks: int = 0,
-) -> tuple[str, Sequence[Hashable], dict]:
+) -> tuple[str, list[Hashable], dict]:
     """Read one file and return (resolved kind, tokens, diagnostics).
 
     kind "auto" picks "midi" when the file starts with the MThd magic bytes
@@ -43,6 +53,20 @@ def read_tokens(
     tallies plus dropped_short and out_of_grid.  Text and token lists must be
     UTF-8 (DecodeError otherwise), lose one leading byte-order mark and report
     no diagnostics.
+    """
+    kind, tokens, diagnostics = _stream_tokens(path, kind, grid, min_ticks)
+    return kind, list(tokens), diagnostics
+
+
+def _stream_tokens(
+    path: str, kind: str, grid: DurationGrid, min_ticks: int
+) -> tuple[str, Iterable[Hashable], dict]:
+    """read_tokens, with the tokens of a text or token file left as a lazy stream.
+
+    The file is decoded whole, so every DecodeError is raised here.  The
+    stream tokenizes one slice of the text at a time; a text slice ends just
+    after whitespace and a token-file slice just after a line feed, so each
+    slice gives the tokens the whole text gives there.
     """
     data = Path(path).read_bytes()
     if kind == "auto":
@@ -66,8 +90,26 @@ def read_tokens(
     # decoding, so a DecodeError's offsets are offsets into the file
     text = text.removeprefix("\ufeff")
     if kind == "text":
-        return kind, tokenize_text(text), {}
-    return kind, [t for t in map(str.strip, text.splitlines()) if t], {}
+        # tokenize_text is looked up here, so a wrapper put on that module name
+        # sees every slice
+        return kind, chain.from_iterable(map(tokenize_text, _slices(text, _TEXT_CUT))), {}
+    return kind, chain.from_iterable(map(_token_lines, _slices(text, _LINE_CUT))), {}
+
+
+def _slices(text: str, cut_after: re.Pattern) -> Iterator[str]:
+    """Slices of text, each ending just after the first cut_after match at or
+    past its _CHUNK-th character; the last slice runs to the end of text."""
+    start = 0
+    while start < len(text):
+        cut = cut_after.search(text, start + _CHUNK - 1)
+        end = cut.end() if cut else len(text)
+        yield text[start:end]
+        start = end
+
+
+def _token_lines(text: str) -> list[str]:
+    """The stripped, non-empty lines of a token file."""
+    return [t for t in map(str.strip, text.splitlines()) if t]
 
 
 @dataclass(frozen=True)
@@ -91,9 +133,9 @@ class Analysis:
 
 
 def analyze_tokens(
-    tokens: Sequence[Hashable], residuals: str = "log", n_max: int | None = None
+    tokens: Iterable[Hashable], residuals: str = "log", n_max: int | None = None
 ) -> Analysis:
-    """Count a token stream and run every estimator on it.
+    """Count a token stream, consuming it once, and run every estimator on it.
 
     residuals selects the rank-law fit objective (see fit_nu).  n_max pins
     the spectrum fit window; None picks the dense low-n window.  Raises

@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .analysis import Analysis, analyze_tokens, read_tokens
+from .analysis import Analysis, _stream_tokens, analyze_tokens
 from .errors import DegenerateTable, InsufficientSupport, NoRoot, NoteZipfError
 from .fit import SimonFit, predict_n
 from .notes import DEFAULT_GRID, DurationGrid
@@ -43,7 +43,7 @@ def _analyze(path: str, args: argparse.Namespace, grid: DurationGrid) -> tuple[d
     Raises NoteZipfError subclasses, OSError or ValueError when no report can
     be produced at all; skipped estimates become warnings in the report.
     """
-    kind, tokens, diagnostics = read_tokens(path, args.kind, grid, args.min_ticks)
+    kind, tokens, diagnostics = _stream_tokens(path, args.kind, grid, args.min_ticks)
     analysis = analyze_tokens(tokens, residuals=args.residuals, n_max=args.n_max)
     fit, gamma, tail = analysis.fit, analysis.gamma, analysis.tail
     warnings: list[str] = []

@@ -3,11 +3,13 @@ against a two-pass reference on intact and mutated files, tokenize against a
 per-note classification, the fitted rank law's pinned endpoints
 n(0) = n0 and n(V) = 1, the rank-law objective's run kernel against
 rank-by-rank sums, the block-computed simulator against the scalar
-SplitMix64 step loop, the ASCII word tokenizer against the word regex, and
-the rank table's runs against a plain Counter."""
+SplitMix64 step loop, the ASCII word tokenizer against the word regex, the
+slice-by-slice file reader against the regex and the line split at tiny
+slice sizes, and the rank table's runs against a plain Counter."""
 
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -16,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from notezipf import analysis
 from notezipf.errors import EmptyCorpus
 from notezipf.fit import _sse_log, fit_nu, predict_n
 from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
@@ -322,9 +325,9 @@ ASCII_PIECES = (
 )
 ASCII_TEXT = st.lists(ASCII_PIECES, max_size=60).map("".join)
 # the same with non-ASCII letters, a digit and a quote, which take the regex path
-MIXED_TEXT = st.lists(ASCII_PIECES | st.sampled_from(["é", "É", "İ", "²", "’"]), max_size=60).map(
-    "".join
-)
+MIXED_TEXT = st.lists(
+    ASCII_PIECES | st.sampled_from(["é", "É", "İ", "Σ", "²", "’", "\x85", "\xa0"]), max_size=60
+).map("".join)
 
 
 def assert_tokenizes_as_reference(text):
@@ -350,6 +353,47 @@ def test_ascii_tokenizer_matches_word_regex(text):
 @given(MIXED_TEXT)
 def test_mixed_tokenizer_matches_word_regex(text):
     assert_tokenizes_as_reference(text)
+
+
+# joiners, final sigma, a byte-order mark, line ends of every kind, token
+# lines with inner spaces, and text with no whitespace at all
+READER_TEXT = st.lists(
+    st.sampled_from(
+        ["ab", "Cd", "x y", "'", "-", "it's", "a-b", "\ufeff", "é", "İ", "Σ", "ΑΣ", "’", "²"]
+    )
+    | st.sampled_from([" ", "\n", "\r\n", "\r", "\t", "\x85", "\xa0", "\u2028", ".", "1"])
+    | st.characters(max_codepoint=0x3FF),
+    max_size=40,
+).map("".join)
+
+
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "corpus"
+
+
+@settings(max_examples=300, deadline=None)
+@given(READER_TEXT, st.booleans(), st.sampled_from([1, 2, 3, 5, 16, 24]))
+@example("ab cΣ d", False, 3)
+@example("a.Σ b", False, 2)
+@example("ΑΣ ΑΣ", True, 2)
+@example("it's-a well-known", False, 1)
+@example("x y\r\nz", False, 2)
+@example("nowhitespace", False, 1)
+def test_sliced_reader_matches_whole_text_oracles(corpus_file, text, bom, chunk):
+    # the CLI's reader, with slices of a character to a few words, so that
+    # every cut lands next to a joiner, a sigma or a line end somewhere
+    corpus_file.write_bytes(("\ufeff" * bom + text).encode("utf-8"))
+    text = ("\ufeff" * bom + text).removeprefix("\ufeff")
+    expected = {
+        "text": reference_tokenize_text(text),
+        "tokens": [t for t in map(str.strip, text.splitlines()) if t],
+    }
+    with mock.patch.object(analysis, "_CHUNK", chunk):
+        for kind, tokens in expected.items():
+            _, stream, _ = analysis._stream_tokens(str(corpus_file), kind, DEFAULT_GRID, 0)
+            assert Counter(stream) == Counter(tokens)
+            assert analysis.read_tokens(str(corpus_file), kind)[1] == tokens
 
 
 # few distinct values, so that tied counts (runs longer than one rank) are common

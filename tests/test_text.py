@@ -1,10 +1,14 @@
 import random
 import string
+import tracemalloc
+from collections import Counter
 
 import pytest
 
+from notezipf import analysis
 from notezipf.analysis import read_tokens
 from notezipf.errors import DecodeError, EmptyCorpus
+from notezipf.notes import DEFAULT_GRID
 from notezipf.stats import count_tokens
 from notezipf.text import tokenize_text
 
@@ -86,3 +90,34 @@ class TestReadTextTokens:
         bom.write_bytes(b"\xef\xbb\xbf" + text)
         for kind in ("auto", "text"):
             assert read_tokens(str(bom), kind) == read_tokens(str(plain), kind)
+
+    def test_counting_pass_holds_one_slice_of_tokens(self, tmp_path):
+        # the CLI's reader tokenizes one slice at a time, so while a file is
+        # counted the memory beyond its decoded text is the counter plus one
+        # slice's tokens (1.08x their sum on 200k words); a list of every
+        # token first would take 13.9x
+        rng = random.Random(1)
+        words = ["".join(rng.choices("abcdefghij", k=rng.randint(3, 9))) for _ in range(2000)]
+        text = "\n".join(" ".join(rng.choices(words, k=10)) + "." for _ in range(20_000))
+        path = tmp_path / "corpus.txt"
+        path.write_text(text, encoding="ascii")
+        tracemalloc.start()
+        try:
+            _, stream, _ = analysis._stream_tokens(str(path), "text", DEFAULT_GRID, 0)
+            tracemalloc.reset_peak()
+            table = count_tokens(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+            head, joined = text[: analysis._CHUNK], " ".join(words)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            slice_tokens = tokenize_text(head)
+            slice_bytes = tracemalloc.get_traced_memory()[1] - before
+            del slice_tokens
+            before = tracemalloc.get_traced_memory()[0]
+            counter = Counter(joined.split())
+            counter_bytes = tracemalloc.get_traced_memory()[0] - before
+            del counter
+        finally:
+            tracemalloc.stop()
+        assert table.T == 200_000
+        assert peak - len(text) <= 1.5 * (slice_bytes + counter_bytes)
