@@ -55,7 +55,7 @@ def read_tokens(
     no diagnostics.
     """
     kind, tokens, diagnostics = _stream_tokens(path, kind, grid, min_ticks)
-    return kind, list(tokens), diagnostics
+    return kind, tokens if isinstance(tokens, list) else list(tokens), diagnostics
 
 
 def _stream_tokens(
@@ -66,7 +66,8 @@ def _stream_tokens(
     The file is decoded whole, so every DecodeError is raised here.  The
     stream tokenizes one slice of the text at a time; a text slice ends just
     after whitespace and a token-file slice just after a line feed, so each
-    slice gives the tokens the whole text gives there.
+    slice gives the tokens the whole text gives there.  A non-ASCII character
+    sends only its own slice to tokenize_text's word regex.
     """
     data = Path(path).read_bytes()
     if kind == "auto":

@@ -10,10 +10,7 @@ _WORD is the definition.  ASCII text, where letters are a-z after
 lowercasing, is split by string operations that give the same tokens three
 to four times faster: every character but a letter or a joiner becomes a
 space, a joiner without a letter on both sides becomes a space, and
-str.split does the rest.  In other text only the whitespace-delimited
-stretches around non-ASCII characters go to _WORD; whitespace ends every
-word and every final-sigma context of str.lower, so the stretches in between
-still take the string operations.
+str.split does the rest.
 """
 
 from __future__ import annotations
@@ -30,28 +27,12 @@ _ASCII_WORD_CHARS = "".join(
 # a joiner whose left or right neighbour is not a letter; the lookbehind sees
 # the character before the joiner, so runs of joiners are blanked whole
 _LONE_JOINER = re.compile(r"['-](?:(?<![a-z]['-])|(?![a-z]))")
-# a non-ASCII character and the rest of its whitespace-delimited stretch
-_NON_ASCII = re.compile(r"[^\x00-\x7f]\S*")
 
 
 def tokenize_text(text: str) -> list[str]:
     """Lowercased word tokens of a character stream, in order."""
-    if text.isascii():
-        return _ascii_words(text)
-    tokens: list[str] = []
-    start = 0
-    while found := _NON_ASCII.search(text, start):
-        left = found.start()  # widened back to whitespace over ASCII text
-        while left > start and not text[left - 1].isspace():
-            left -= 1
-        tokens += _ascii_words(text[start:left])
-        tokens += _WORD.findall(text[left : found.end()].lower())
-        start = found.end()
-    tokens += _ascii_words(text[start:])
-    return tokens
-
-
-def _ascii_words(text: str) -> list[str]:
+    if not text.isascii():
+        return _WORD.findall(text.lower())
     # lowercased before the translate: a table that also folded case would save
     # a pass but, on glibc, left the CLI's peak RSS 2.6 MB higher on 1M words
     text = text.lower().translate(_ASCII_WORD_CHARS)
