@@ -55,7 +55,7 @@ def read_tokens(
     no diagnostics.
     """
     kind, tokens, diagnostics = _stream_tokens(path, kind, grid, min_ticks)
-    return kind, tokens if isinstance(tokens, list) else list(tokens), diagnostics
+    return kind, list(tokens), diagnostics
 
 
 def _stream_tokens(

@@ -93,12 +93,15 @@ class DurationGrid:
     def from_file(cls, path: str | Path) -> "DurationGrid":
         """Read a grid from a text file with one rational per line.
 
-        Blank lines and lines starting with '#' are skipped.
+        Blank lines and lines starting with '#' are skipped, and so is one
+        leading byte-order mark.
         """
         try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise DecodeError(f"{path} is not valid UTF-8: {exc}") from exc
+        # stripped after decoding, so a DecodeError's offsets are file offsets
+        lines = text.removeprefix("\ufeff").splitlines()
         ratios = [line.strip() for line in lines]
         return cls.from_ratios(r for r in ratios if r and not r.startswith("#"))
 

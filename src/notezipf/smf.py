@@ -8,17 +8,15 @@ are deliberately ignored because downstream duration classes are ratios of
 ticks to division and therefore tempo-independent.
 
 parse_smf(data) returns (header, tracks, diagnostics): an SmfHeader, one
-Track per MTrk chunk, and an SmfDiagnostics.  The track decoder pairs notes
-as it reads them, FIFO per (channel, pitch), so no list of events is built:
-a Track is (closed notes, open onsets per key, end_tick), where a key is
-channel << 7 | pitch and its onsets are the ticks of note-ons still waiting
-for a note-off.  parse_smf tallies trailing_bytes, missing_end_of_track,
-orphan_note_offs and the zero-length pairs closed inside a track.
-pair_notes(tracks, diagnostics) concatenates the closed notes, closes the
-open onsets at each track's end in key order, and adds unmatched_note_ons
-and the zero-length count of those closes; extract_notes does both.  A
-RawNote is a (onset, track, channel, pitch, duration) tuple, so sorting
-notes orders them by onset with that tie-break.
+list of RawNotes per MTrk chunk, and an SmfDiagnostics.  The track decoder
+pairs notes as it reads them, FIFO per (channel, pitch), so no list of events
+is built; the note-ons still open at the track's last tick are closed there,
+in (channel, pitch) order and then onset order, after the notes a note-off
+closed.  The diagnostics tally trailing_bytes, missing_end_of_track,
+orphan_note_offs, unmatched_note_ons and zero_length_notes; a zero-length
+pair is dropped.  extract_notes concatenates the tracks' notes.  A RawNote
+is a (onset, track, channel, pitch, duration) tuple, so sorting notes orders
+them by onset with that tie-break.
 
 MissingHeader covers both an absent MThd chunk and one whose fixed fields are
 malformed (bad length, unknown format, zero division).
@@ -28,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -74,11 +73,6 @@ class SmfDiagnostics:
     zero_length_notes: int = 0
 
 
-# A decoded track: its notes closed by a note-off, the onsets still open per
-# channel << 7 | pitch in arrival order, and the tick at which the track ends.
-Track = tuple[list[RawNote], dict[int, deque[int]], int]
-
-
 def read_vlq(data: bytes, pos: int) -> tuple[int, int]:
     """Decode a variable-length quantity at pos; returns (value, next_pos)."""
     value = 0
@@ -101,11 +95,11 @@ def _read_data_byte(data: bytes, pos: int, what: str) -> int:
     return byte
 
 
-def _parse_track(data: bytes, track: int, diag: SmfDiagnostics) -> tuple[Track, bool]:
+def _parse_track(data: bytes, track: int, diag: SmfDiagnostics) -> tuple[list[RawNote], bool]:
     """Decode one MTrk payload and pair its notes as they come.
 
-    Returns the track and whether EOT was seen.  Orphan note-offs and
-    zero-length pairs are tallied into diag as they occur.
+    Returns the track's notes and whether EOT was seen.  Orphan note-offs,
+    unmatched note-ons and zero-length pairs are tallied into diag.
     """
     notes: list[RawNote] = []
     pending: dict[int, deque[int]] = {}
@@ -185,10 +179,18 @@ def _parse_track(data: bytes, track: int, diag: SmfDiagnostics) -> tuple[Track, 
                 notes.append(new_note(RawNote, (onset, track, channel, first, tick - onset)))
             else:
                 diag.zero_length_notes += 1
-    return (notes, {key: queue for key, queue in pending.items() if queue}, tick), saw_eot
+    for key in sorted(pending):
+        channel, pitch = divmod(key, 128)
+        for onset in pending[key]:
+            diag.unmatched_note_ons += 1
+            if tick > onset:
+                notes.append(new_note(RawNote, (onset, track, channel, pitch, tick - onset)))
+            else:
+                diag.zero_length_notes += 1
+    return notes, saw_eot
 
 
-def parse_smf(data: bytes) -> tuple[SmfHeader, list[Track], SmfDiagnostics]:
+def parse_smf(data: bytes) -> tuple[SmfHeader, list[list[RawNote]], SmfDiagnostics]:
     """Decode a complete Standard MIDI File buffer; see the module docstring.
 
     Unknown chunk types are skipped by their declared length.  Bytes after
@@ -212,7 +214,7 @@ def parse_smf(data: bytes) -> tuple[SmfHeader, list[Track], SmfDiagnostics]:
     if division == 0:
         raise MissingHeader("division of 0 ticks per quarter note is invalid")
 
-    tracks: list[Track] = []
+    tracks: list[list[RawNote]] = []
     diag = SmfDiagnostics()
     pos = 8 + header_len
     while pos < len(data):
@@ -239,28 +241,10 @@ def parse_smf(data: bytes) -> tuple[SmfHeader, list[Track], SmfDiagnostics]:
 
 
 def pair_notes(
-    tracks: list[Track], diagnostics: SmfDiagnostics
+    tracks: list[list[RawNote]], diagnostics: SmfDiagnostics
 ) -> tuple[list[RawNote], SmfDiagnostics]:
-    """Concatenate the tracks' notes, closing each onset still open at its track's end.
-
-    The open onsets are closed in (channel, pitch) order, then onset order,
-    and tallied as unmatched note-ons; a close at the onset's own tick is a
-    zero-length pair, tallied and dropped (RawNote durations are always
-    >= 1).  The tallies are added to diagnostics, which is returned with the
-    notes.
-    """
-    notes: list[RawNote] = []
-    for track_index, (closed, pending, end_tick) in enumerate(tracks):
-        notes.extend(closed)
-        for key in sorted(pending):
-            channel, pitch = divmod(key, 128)
-            for onset in pending[key]:
-                diagnostics.unmatched_note_ons += 1
-                if end_tick > onset:
-                    notes.append(RawNote(onset, track_index, channel, pitch, end_tick - onset))
-                else:
-                    diagnostics.zero_length_notes += 1
-    return notes, diagnostics
+    """Return the tracks' notes concatenated, and diagnostics unchanged."""
+    return list(chain.from_iterable(tracks)), diagnostics
 
 
 def extract_notes(data: bytes) -> tuple[SmfHeader, list[RawNote], SmfDiagnostics]:

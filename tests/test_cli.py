@@ -1,6 +1,8 @@
+import itertools
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -342,6 +344,96 @@ class TestCompare:
         assert died.exists()
         assert parallel == serial  # so no traceback either
         assert multiprocessing.active_children() == []
+
+
+def analyze_outputs(path, out, *options):
+    """report.json less its source path, then the bytes of ranks.csv and spectrum.csv."""
+    assert main(["analyze", str(path), "--out", str(out), *options]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["source"].pop("path") == str(path)
+    return report, (out / "ranks.csv").read_bytes(), (out / "spectrum.csv").read_bytes()
+
+
+class TestMetamorphic:
+    """Changes to the input whose effect on the outputs is known without an
+    oracle; they check the glue from reader to counts to written files."""
+
+    def token_lines(self):
+        """About 150 KB of shuffled token lines, so the reader cuts several slices."""
+        counts = rank_law_counts(0.5, 400, 2000.0)
+        lines = [f"tok{i:05d}" for i, count in enumerate(counts) for _ in range(count)]
+        random.Random(1).shuffle(lines)
+        return lines
+
+    def analyze_lines(self, tmp_path, name, lines):
+        path = tmp_path / f"{name}.tokens"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return analyze_outputs(path, tmp_path / name, "--kind", "tokens")
+
+    def test_permuting_token_lines_changes_only_the_path(self, tmp_path):
+        lines = self.token_lines()
+        permuted = random.Random(2).sample(lines, len(lines))
+        once = self.analyze_lines(tmp_path, "once", lines)
+        assert once[0]["corpus"] == {"V": 400, "T": len(lines)}
+        assert self.analyze_lines(tmp_path, "permuted", permuted) == once
+
+    def test_relabelling_tokens_changes_only_the_path(self, tmp_path):
+        # new labels differ in length and some are not ASCII, so the slices
+        # are cut at other tokens
+        lines = self.token_lines()
+        names = sorted(set(lines))
+        labels = random.Random(3).sample(range(10**6), len(names))
+        relabel = {name: ("n" if k % 2 else "\u00e9") + str(k) for name, k in zip(names, labels)}
+        relabelled = self.analyze_lines(tmp_path, "relabelled", [relabel[t] for t in lines])
+        assert relabelled == self.analyze_lines(tmp_path, "once", lines)
+
+    def test_a_token_file_twice_keeps_V_and_doubles_T(self, tmp_path):
+        lines = self.token_lines()
+        once = self.analyze_lines(tmp_path, "once", lines)[0]["corpus"]
+        twice = self.analyze_lines(tmp_path, "twice", lines + lines)[0]["corpus"]
+        assert twice == {"V": once["V"], "T": 2 * once["T"]}
+
+    def test_permuting_mtrk_chunks_changes_only_the_path(self, tmp_path):
+        # the tracks share a channel and pitches, and each ends at its own
+        # tick with two note-ons still open, which its own end must close
+        rng = random.Random(4)
+        tracks = []
+        for end in (30, 200, 700):
+            events = []
+            for _ in range(60):
+                pitch = rng.choice((60, 62, 64, 67))
+                events.append(note_on(rng.choice((0, 12)), pitch))
+                events.append(note_off(rng.choice((24, 48, 96, 144, 192)), pitch))
+            tracks.append(track_chunk(*events, note_on(0, 72), note_on(5, 74), end_of_track(end)))
+        outputs = []
+        for i, order in enumerate(itertools.permutations(tracks)):
+            path = tmp_path / f"{i}.mid"
+            path.write_bytes(simple_file(96, *order))
+            outputs.append(analyze_outputs(path, tmp_path / f"out{i}"))
+        assert outputs[0][0]["diagnostics"]["unmatched_note_ons"] == 6
+        assert outputs.count(outputs[0]) == len(outputs) == 6
+
+    def test_compare_writes_the_same_bytes_in_any_order(self, tmp_path, monkeypatch):
+        # two files are copies, so their rows tie on nu
+        paths = []
+        for name, nu in (("a", 0.3), ("b", 0.5), ("c", 0.7)):
+            paths.append(tmp_path / f"{name}.tokens")
+            write_token_corpus(paths[-1], rank_law_counts(nu, 150, 250.0))
+        paths.append(tmp_path / "b2.tokens")
+        paths[-1].write_bytes(paths[1].read_bytes())
+        paths.append(tmp_path / "piece.mid")
+        paths[-1].write_bytes(varied_midi_bytes())
+        paths = list(map(str, paths))
+        outputs = set()
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+            for i, order in enumerate((paths, paths[::-1], paths[2:] + paths[:2])):
+                out = tmp_path / f"out{cpus}-{i}"
+                assert main(["compare", *order, "--out", str(out)]) == 0
+                written = [(out / name).read_bytes() for name in ("compare.json", "compare.csv")]
+                outputs.add(tuple(written))
+        assert len(outputs) == 1
+        assert len(json.loads((out / "compare.json").read_text())["rows"]) == 5
 
 
 def test_importing_the_cli_loads_no_process_pool(tmp_path):

@@ -76,6 +76,15 @@ class TestDurationGrid:
             Fraction(2),
         ]
 
+    # a byte-order mark is stripped as the text reader strips it: it is no
+    # character of the first ratio, nor does it hide a leading comment
+    @pytest.mark.parametrize("body", ["2\n1/2\n", "# custom\n2\n1/2\n"])
+    def test_from_file_drops_a_byte_order_mark(self, tmp_path, body):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text("\ufeff" + body, encoding="utf-8")
+        assert DurationGrid.from_file(marked).classes == DurationGrid.from_file(plain).classes
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             DurationGrid.from_ratios(["1", "2/2"])

@@ -23,7 +23,7 @@ from notezipf.errors import EmptyCorpus
 from notezipf.fit import _sse_log, fit_nu, predict_n
 from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
 from notezipf.simulate import _LANES, SimConfig, simulate
-from notezipf.smf import RawNote, SmfDiagnostics, extract_notes, parse_smf
+from notezipf.smf import RawNote, SmfDiagnostics, SmfHeader, extract_notes, parse_smf
 from notezipf.stats import RankTable, count_tokens, spectrum
 from notezipf.text import tokenize_text
 
@@ -152,7 +152,9 @@ def test_decoder_matches_two_pass_reference(tracks, division, mutations, data):
     # after the 14-byte MThd chunk are overwritten.  So orphans, unmatched
     # note-ons, zero-length pairs and the track decoder's errors all come up;
     # the header, the notes in order and the diagnostics, or the error's type
-    # and message, must match
+    # and message, must match.  parse_smf's tracks, concatenated, are those
+    # notes, each track holds only its own notes, and its diagnostics are
+    # already complete
     chunks = []
     for notes in tracks:
         payload = track_bytes(notes, data)[8:]
@@ -163,9 +165,14 @@ def test_decoder_matches_two_pass_reference(tracks, division, mutations, data):
     for _ in range(mutations):
         buffer[data.draw(st.integers(14, len(buffer) - 1))] = data.draw(MUTATED_BYTE)
     buffer = bytes(buffer)
-    assert decoded_or_error(extract_notes, buffer) == decoded_or_error(
-        reference_extract_notes, buffer
-    )
+    decoded = decoded_or_error(extract_notes, buffer)
+    assert decoded == decoded_or_error(reference_extract_notes, buffer)
+    if isinstance(decoded[0], SmfHeader):
+        header, notes, diag = decoded
+        parsed_header, parsed_tracks, parsed_diag = parse_smf(buffer)
+        assert (parsed_header, parsed_diag) == (header, diag)
+        assert [note for track in parsed_tracks for note in track] == notes
+        assert all(note.track == i for i, track in enumerate(parsed_tracks) for note in track)
 
 
 def tokenize_per_note(notes, division, min_ticks, grid):

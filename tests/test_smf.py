@@ -128,6 +128,9 @@ class TestParseSmf:
             (0, 60, 480, 0),
             (1, 72, 240, 1),
         ]
+        # parse_smf keeps one note list per track
+        tracks = parse_smf(data)[1]
+        assert [[(n.track, n.pitch) for n in track] for track in tracks] == [[(0, 60)], [(1, 72)]]
 
     def test_unknown_chunk_skipped(self):
         data = (
@@ -217,6 +220,8 @@ class TestParseSmf:
         _, notes, diag = extract_notes(data)
         assert [(n.pitch, n.onset, n.duration) for n in notes] == [(60, 0, 50)]
         assert diag.unmatched_note_ons == 1
+        # the track decoder closes it, so parse_smf's diagnostics are complete
+        assert parse_smf(data)[1:] == ([notes], diag)
 
     def test_unmatched_note_ons_close_in_key_order(self):
         # open onsets close at the track's end by (channel, pitch), then
@@ -237,6 +242,7 @@ class TestParseSmf:
             (0, 61, 10), (0, 62, 0), (0, 62, 10), (1, 60, 5), (1, 64, 0)
         ]
         assert diag.unmatched_note_ons == 5
+        assert parse_smf(data)[1:] == ([notes], diag)
 
     def test_orphan_note_off_counted(self):
         data = simple_file(96, track_chunk(note_off(5, 60), end_of_track()))
