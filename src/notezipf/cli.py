@@ -12,12 +12,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 from .analysis import Analysis, _stream_tokens, analyze_tokens
 from .errors import DegenerateTable, InsufficientSupport, NoRoot, NoteZipfError
-from .fit import SimonFit, predict_n
+from .fit import predict_n
 from .notes import DEFAULT_GRID, DurationGrid
 from .simulate import SimConfig, simulate, verify_zipf
 
@@ -37,6 +36,32 @@ def _load_grid(args: argparse.Namespace) -> DurationGrid | None:
         return None
 
 
+_FIT_COLUMNS = ("nu", "z", "n0", "a", "b", "sse_log", "chi2", "dof", "p_value", "boundary_warning")
+_COMPARE_COLUMNS = ("path", "kind", "V", "T", *_FIT_COLUMNS)
+
+
+def _payload(analysis: Analysis) -> dict:
+    """The corpus, fit, spectrum_fit and rank_tail blocks of one analysis, and
+    its warnings: only the boundary warning, if the fitted nu has one.
+
+    Every output projects its estimates from this dict, so the column and key
+    lists are decided here and in _FIT_COLUMNS, not by the estimator records.
+    """
+    fit, gamma, tail = analysis.fit, analysis.gamma, analysis.tail
+    bound = fit is not None and fit.boundary_warning
+    return {
+        "corpus": {"V": analysis.table.V, "T": analysis.table.T},
+        "fit": None if fit is None else {column: getattr(fit, column) for column in _FIT_COLUMNS},
+        "spectrum_fit": (
+            {"gamma": gamma.slope, "stderr": gamma.stderr, "n_max": analysis.n_max}
+            if gamma is not None
+            else None
+        ),
+        "rank_tail": {"z": tail.slope, "stderr": tail.stderr} if tail is not None else None,
+        "warnings": [f"fitted exponent {fit.nu} touches the search bounds"] if bound else [],
+    }
+
+
 def _analyze(path: str, args: argparse.Namespace, grid: DurationGrid) -> tuple[dict, Analysis]:
     """Read and analyze one file; returns its report.json payload and the analysis.
 
@@ -45,36 +70,24 @@ def _analyze(path: str, args: argparse.Namespace, grid: DurationGrid) -> tuple[d
     """
     kind, tokens, diagnostics = _stream_tokens(path, args.kind, grid, args.min_ticks)
     analysis = analyze_tokens(tokens, residuals=args.residuals, n_max=args.n_max)
-    fit, gamma, tail = analysis.fit, analysis.gamma, analysis.tail
-    warnings: list[str] = []
-    if fit is None:
-        warnings.append(f"rank-law fit skipped: {analysis.fit_error}")
-    elif fit.boundary_warning:
-        warnings.append(f"fitted exponent {fit.nu} touches the search bounds")
-    if gamma is None:
-        warnings.append(f"spectrum fit skipped: {analysis.gamma_error}")
-    if tail is None:
-        warnings.append(f"rank-tail fit skipped: {analysis.tail_error}")
-    report = {
-        "source": {"path": path, "kind": kind},
-        "options": {
-            "kind": args.kind,
-            "min_ticks": args.min_ticks,
-            "grid": args.grid if args.grid else "default",
-            "residuals": args.residuals,
-            "spectrum_n_max": analysis.n_max,
-        },
-        "corpus": {"V": analysis.table.V, "T": analysis.table.T},
-        "fit": asdict(fit) if fit is not None else None,
-        "spectrum_fit": (
-            {"gamma": gamma.slope, "stderr": gamma.stderr, "n_max": analysis.n_max}
-            if gamma is not None
-            else None
-        ),
-        "rank_tail": {"z": tail.slope, "stderr": tail.stderr} if tail is not None else None,
-        "diagnostics": diagnostics,
-        "warnings": warnings,
+    report = _payload(analysis)
+    # a boundary warning needs a fit, so it never comes with "rank-law fit skipped"
+    for name, error in (
+        ("rank-law", analysis.fit_error),
+        ("spectrum", analysis.gamma_error),
+        ("rank-tail", analysis.tail_error),
+    ):
+        if error is not None:
+            report["warnings"].append(f"{name} fit skipped: {error}")
+    report["source"] = {"path": path, "kind": kind}
+    report["options"] = {
+        "kind": args.kind,
+        "min_ticks": args.min_ticks,
+        "grid": args.grid if args.grid else "default",
+        "residuals": args.residuals,
+        "spectrum_n_max": analysis.n_max,
     }
+    report["diagnostics"] = diagnostics
     return report, analysis
 
 
@@ -134,21 +147,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIT_COLUMNS = [f.name for f in fields(SimonFit)]
-_COMPARE_COLUMNS = ["path", "kind", "V", "T"] + _FIT_COLUMNS
-
-
 def _compare_row(report: dict) -> dict:
-    row = {
-        "path": report["source"]["path"],
-        "kind": report["source"]["kind"],
-        "V": report["corpus"]["V"],
-        "T": report["corpus"]["T"],
-    }
-    fit_dict = report["fit"] or {}
-    for column in _FIT_COLUMNS:
-        row[column] = fit_dict.get(column)
-    return row
+    values = {**report["source"], **report["corpus"], **(report["fit"] or {})}
+    return {column: values.get(column) for column in _COMPARE_COLUMNS}
 
 
 def _compare_one(path: str, args: argparse.Namespace, grid: DurationGrid) -> tuple:
@@ -222,7 +223,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "compare.json", {"rows": rows, "errors": errors})
-    csv_rows = ([row[col] for col in _COMPARE_COLUMNS] for row in rows)
+    csv_rows = (row.values() for row in rows)
     (out_dir / "compare.csv").write_text(_csv(_COMPARE_COLUMNS, csv_rows), encoding="utf-8")
     for row in rows:
         nu = row["nu"]
@@ -242,15 +243,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     result = simulate(config)
-    warnings: list[str] = []
     verify = None
     try:
-        verify = verify_zipf(result, n_max=args.n_max)
+        estimates = _payload(verify_zipf(result, n_max=args.n_max))
     except (InsufficientSupport, DegenerateTable, NoRoot) as exc:
-        warnings.append(f"verification skipped: {exc}")
-    else:
-        if verify.boundary_warning:
-            warnings.append(f"fitted exponent {verify.nu_hat} touches the search bounds")
+        warnings = [f"verification skipped: {exc}"]
+    else:  # verify_zipf raised unless both the spectrum and the rank-law fit ran
+        fit, warnings = estimates["fit"], estimates["warnings"]
+        verify = {
+            "gamma_hat": estimates["spectrum_fit"]["gamma"],
+            "z_hat": fit["z"],
+            "nu_hat": fit["nu"],
+            **estimates["corpus"],
+            "boundary_warning": fit["boundary_warning"],
+        }
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -258,7 +264,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "config": config.to_dict(),
         "V": result.V,
         "T": result.T,
-        "verify": asdict(verify) if verify is not None else None,
+        "verify": verify,
         "warnings": warnings,
     }
     _write_json(out_dir / "sim_report.json", payload)
@@ -271,7 +277,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 stream.write("\n".join(map(names.__getitem__, chunk)) + "\n")
     summary = f"mode={config.mode} steps={config.steps} seed={config.seed} V={result.V}"
     if verify is not None:
-        summary += f" nu_hat={verify.nu_hat!r} gamma_hat={verify.gamma_hat!r}"
+        summary += f" nu_hat={verify['nu_hat']!r} gamma_hat={verify['gamma_hat']!r}"
     print(summary)
     return 0
 

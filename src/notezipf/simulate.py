@@ -26,11 +26,11 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import chain
 
-from .analysis import analyze_tokens
+from .analysis import Analysis, analyze_tokens
 from .errors import InsufficientSupport
 
 _MASK64 = (1 << 64) - 1
@@ -96,17 +96,16 @@ class SimConfig:
         if self.mode == "constant":
             if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
                 raise ValueError(f"constant mode needs alpha in [0, 1], got {self.alpha}")
+            if self.nu is not None:
+                raise ValueError(f"constant mode takes no nu, got {self.nu}")
         else:
             if self.nu is None or not 0.0 < self.nu < 1.0:
                 raise ValueError(f"sublinear mode needs nu in (0, 1), got {self.nu}")
+            if self.alpha is not None:
+                raise ValueError(f"sublinear mode takes no alpha, got {self.alpha}")
 
     def to_dict(self) -> dict:
-        out = {"mode": self.mode, "steps": self.steps, "seed": self.seed}
-        if self.mode == "constant":
-            out["alpha"] = self.alpha
-        else:
-            out["nu"] = self.nu
-        return out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -146,24 +145,12 @@ def simulate(config: SimConfig) -> SimResult:
     return SimResult(tokens=tuple(tokens), V=v)
 
 
-@dataclass(frozen=True)
-class ZipfReport:
-    """Exponent estimates for one simulated stream."""
-
-    gamma_hat: float
-    z_hat: float
-    nu_hat: float
-    V: int
-    T: int
-    boundary_warning: bool
-
-
-def verify_zipf(result: SimResult, n_max: int | None = None) -> ZipfReport:
+def verify_zipf(result: SimResult, n_max: int | None = None) -> Analysis:
     """Run a simulated stream through the full statistics pipeline.
 
-    Reports the spectrum exponent gamma_hat, the fitted vocabulary-growth
-    exponent nu_hat, the implied rank exponent z_hat = 1/nu_hat, and the
-    rank-law fit's boundary_warning (nu_hat at its search bounds).  When
+    Returns the stream's Analysis, whose spectrum fit and rank-law fit are
+    both present: the spectrum exponent, the fitted vocabulary-growth
+    exponent nu with its z = 1/nu and boundary warning, and V and T.  When
     n_max is None the spectrum window adapts to the corpus via
     dense_spectrum_window, so small vocabularies are fit on their dense bins.
     Raises InsufficientSupport below 50 distinct tokens and the estimator's
@@ -176,11 +163,4 @@ def verify_zipf(result: SimResult, n_max: int | None = None) -> ZipfReport:
     for error in (analysis.gamma_error, analysis.fit_error):
         if error is not None:
             raise error
-    return ZipfReport(
-        gamma_hat=analysis.gamma.slope,
-        z_hat=analysis.fit.z,
-        nu_hat=analysis.fit.nu,
-        V=analysis.table.V,
-        T=analysis.table.T,
-        boundary_warning=analysis.fit.boundary_warning,
-    )
+    return analysis

@@ -227,6 +227,16 @@ class TestSimulate:
         assert code == 1
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "params", [["--mode", "sublinear", "--nu", "0.5", "--alpha", "3"],
+                   ["--mode", "constant", "--alpha", "0.5", "--nu", "0.5"]],
+    )
+    def test_other_modes_parameter_rejected(self, capsys, tmp_path, params):
+        code = main(["simulate", *params, "--steps", "10", "--out", str(tmp_path)])
+        assert code == 1
+        assert "takes no" in capsys.readouterr().err
+        assert not (tmp_path / "sim_report.json").exists()
+
 
 class TestCompare:
     def test_rows_sorted_by_nu(self, tmp_path):

@@ -5,7 +5,9 @@ n(0) = n0 and n(V) = 1, the rank-law objective's run kernel against
 rank-by-rank sums, the block-computed simulator against the scalar
 SplitMix64 step loop, the ASCII word tokenizer against the word regex, the
 slice-by-slice file reader against the regex and the line split at tiny
-slice sizes, and the rank table's runs against a plain Counter."""
+slice sizes, the rank table's runs against a plain Counter, and the CLI's
+typed-error contract: on any input and any parseable options, main returns
+0 or 1 and no exception escapes."""
 
 import math
 from collections import Counter
@@ -19,6 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from notezipf import analysis
+from notezipf.cli import main
 from notezipf.errors import EmptyCorpus
 from notezipf.fit import _sse_log, fit_nu, predict_n
 from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
@@ -40,6 +43,7 @@ from midibytes import (
     meta,
     note_off,
     note_on,
+    one_note_file,
     running,
     simple_file,
     track_chunk,
@@ -425,3 +429,93 @@ def test_rank_table_runs_match_a_counter(tokens):
     assert list(spectrum(table).items()) == sorted(Counter(counts).items())
     assert sum(ranks for _, ranks in table.runs) == len(counts)
     assert all(a > b for (a, _), (b, _) in zip(table.runs, table.runs[1:]))
+
+
+# SMF files to mutate: one note, and two tracks with running status, a tempo
+# meta event and notes of one key left open
+CONTRACT_SMF = [
+    one_note_file(),
+    simple_file(
+        96,
+        track_chunk(note_on(0, 60), running(48, 60, 0), note_on(0, 62), note_on(10, 62),
+                    note_off(96, 62), end_of_track()),
+        track_chunk(meta(0, 0x51, b"\x07\xa1\x20"), note_on(0, 64), end_of_track(30)),
+    ),
+]
+
+
+@st.composite
+def mutated_smf(draw):
+    buffer = bytearray(draw(st.sampled_from(CONTRACT_SMF)))
+    for _ in range(draw(st.integers(0, 4))):
+        buffer[draw(st.integers(0, len(buffer) - 1))] = draw(MUTATED_BYTE)
+    if draw(st.booleans()):
+        del buffer[draw(st.integers(0, len(buffer))) :]
+    return bytes(buffer)
+
+
+CLI_INPUTS = (
+    mutated_smf()
+    | st.text(st.sampled_from("ab \n\r\x00'-\xe9\ufeff"), max_size=60).map(str.encode)
+    | st.binary(max_size=80)
+)
+# extreme and invalid values that argparse still accepts
+CLI_INTS = st.sampled_from([-1, 0, 1, 10**30]) | st.integers(-5, 300)
+CLI_FLOATS = st.sampled_from(["nan", "inf", "-inf", "0", "1", "1e-300", "1e300"]) | st.floats(
+    -0.5, 1.5
+).map(repr)
+GRIDS = st.lists(
+    st.sampled_from(["1", "3/2", "1/0", "0", "-1", "1e400", "1e-400", "x", "1/4", "#", "\ufeff1"]),
+    max_size=4,
+).map(lambda lines: "\n".join(lines).encode()) | st.binary(max_size=8)
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+def options(draw, names):
+    """A drawn subset of the options in names, each with its drawn value.
+
+    Written NAME=VALUE, so that argparse takes "-1" and "-inf" as values.
+    """
+    return [f"{name}={draw(values)}" for name, values in names.items() if draw(st.booleans())]
+
+
+@settings(max_examples=400, deadline=None)
+@given(CLI_INPUTS, st.none() | GRIDS, st.data())
+def test_analyze_returns_0_or_1_on_any_input(cli_dir, data, grid, draw):
+    (cli_dir / "input").write_bytes(data)
+    argv = ["analyze", str(cli_dir / "input"), "--out", str(cli_dir / "out")]
+    if grid is not None:
+        (cli_dir / "grid").write_bytes(grid)
+        argv += ["--grid", str(cli_dir / "grid")]
+    argv += options(
+        draw.draw,
+        {
+            "--kind": st.sampled_from(["auto", "midi", "text", "tokens"]),
+            "--min-ticks": CLI_INTS,
+            "--n-max": CLI_INTS,
+            "--residuals": st.sampled_from(["log", "linear"]),
+        },
+    )
+    assert main(argv) in (0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["constant", "sublinear"]), st.data())
+def test_simulate_returns_0_or_1_on_any_parameters(cli_dir, mode, draw):
+    # --steps stays small, so that a run costs milliseconds
+    steps = draw.draw(st.sampled_from([-1, 0, 1, 2, 60]) | st.integers(1, 400))
+    argv = ["simulate", "--mode", mode, f"--steps={steps}", "--out", str(cli_dir / "sim")]
+    argv += options(
+        draw.draw,
+        {
+            "--alpha": CLI_FLOATS,
+            "--nu": CLI_FLOATS,
+            "--seed": st.sampled_from([-(2**70), 2**64, 2**70]) | st.integers(),
+            "--n-max": CLI_INTS,
+        },
+    )
+    assert main(argv) in (0, 1)

@@ -76,6 +76,11 @@ class TestSimConfig:
             SimConfig(mode="sublinear", steps=10, seed=1, nu=1.0)
         with pytest.raises(ValueError):
             SimConfig(mode="sublinear", steps=10, seed=1)
+        # the other mode's parameter is an error, not silently dropped
+        with pytest.raises(ValueError, match="takes no alpha"):
+            SimConfig(mode="sublinear", steps=10, seed=1, nu=0.5, alpha=3.0)
+        with pytest.raises(ValueError, match="takes no nu"):
+            SimConfig(mode="constant", steps=10, seed=1, alpha=0.5, nu=0.5)
 
 
 class TestSimulate:
@@ -161,13 +166,13 @@ class TestVerifyZipf:
 
     def test_report_fields(self):
         result = simulate(SimConfig(mode="sublinear", steps=50_000, seed=3, nu=0.5))
-        report = verify_zipf(result)
-        assert report.V == len(set(result.tokens))
-        assert report.T == 50_000
-        assert report.z_hat == pytest.approx(1.0 / report.nu_hat)
-        assert 0.3 < report.nu_hat < 0.8
-        assert report.gamma_hat > 0.5
-        assert not report.boundary_warning
+        analysis = verify_zipf(result)
+        assert analysis.table.V == len(set(result.tokens))
+        assert analysis.table.T == 50_000
+        assert analysis.fit.z == pytest.approx(1.0 / analysis.fit.nu)
+        assert 0.3 < analysis.fit.nu < 0.8
+        assert analysis.gamma.slope > 0.5
+        assert not analysis.fit.boundary_warning
 
     def test_flat_stream_cannot_be_analyzed(self):
         # a flat stream has a one-bin spectrum, so the gamma fit fails first
