@@ -461,9 +461,9 @@ CLI_INPUTS = (
 )
 # extreme and invalid values that argparse still accepts
 CLI_INTS = st.sampled_from([-1, 0, 1, 10**30]) | st.integers(-5, 300)
-CLI_FLOATS = st.sampled_from(["nan", "inf", "-inf", "0", "1", "1e-300", "1e300"]) | st.floats(
-    -0.5, 1.5
-).map(repr)
+CLI_FLOATS = st.floats(-0.5, 1.5).map(repr) | st.sampled_from(
+    ["nan", "inf", "-inf", "0", "1", "1e-300", "1e300"]
+)
 GRIDS = st.lists(
     st.sampled_from(["1", "3/2", "1/0", "0", "-1", "1e400", "1e-400", "x", "1/4", "#", "\ufeff1"]),
     max_size=4,
@@ -485,14 +485,15 @@ def options(draw, names):
 
 @settings(max_examples=400, deadline=None)
 @given(CLI_INPUTS, st.none() | GRIDS, st.data())
-def test_analyze_returns_0_or_1_on_any_input(cli_dir, data, grid, draw):
-    (cli_dir / "input").write_bytes(data)
-    argv = ["analyze", str(cli_dir / "input"), "--out", str(cli_dir / "out")]
+def test_analyze_returns_0_or_1_on_any_input(cli_dir, content, grid, data):
+    (cli_dir / "input").write_bytes(content)
+    out = data.draw(st.sampled_from(["out", "out", "out", "input"]))  # a file is no --out
+    argv = ["analyze", str(cli_dir / "input"), "--out", str(cli_dir / out)]
     if grid is not None:
         (cli_dir / "grid").write_bytes(grid)
         argv += ["--grid", str(cli_dir / "grid")]
     argv += options(
-        draw.draw,
+        data.draw,
         {
             "--kind": st.sampled_from(["auto", "midi", "text", "tokens"]),
             "--min-ticks": CLI_INTS,
@@ -505,15 +506,17 @@ def test_analyze_returns_0_or_1_on_any_input(cli_dir, data, grid, draw):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["constant", "sublinear"]), st.data())
-def test_simulate_returns_0_or_1_on_any_parameters(cli_dir, mode, draw):
-    # --steps stays small, so that a run costs milliseconds
-    steps = draw.draw(st.sampled_from([-1, 0, 1, 2, 60]) | st.integers(1, 400))
-    argv = ["simulate", "--mode", mode, f"--steps={steps}", "--out", str(cli_dir / "sim")]
+def test_simulate_returns_0_or_1_on_any_parameters(cli_dir, mode, data):
+    # --steps stays small, so that a run costs milliseconds; the mode's own
+    # parameter is always given, the other one only sometimes
+    steps = data.draw(st.sampled_from([-1, 0, 1, 2, 60]) | st.integers(1, 400))
+    own, other = ("--alpha", "--nu") if mode == "constant" else ("--nu", "--alpha")
+    argv = ["simulate", "--mode", mode, f"--steps={steps}", f"{own}={data.draw(CLI_FLOATS)}"]
+    argv += ["--out", str(cli_dir / "sim")]
     argv += options(
-        draw.draw,
+        data.draw,
         {
-            "--alpha": CLI_FLOATS,
-            "--nu": CLI_FLOATS,
+            other: CLI_FLOATS,
             "--seed": st.sampled_from([-(2**70), 2**64, 2**70]) | st.integers(),
             "--n-max": CLI_INTS,
         },
