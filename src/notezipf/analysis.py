@@ -1,12 +1,12 @@
-"""The analysis pipeline: one reader per input file, one chain of estimators.
+"""The analysis pipeline: one reader per input kind, one chain of estimators.
 
-read_tokens turns a MIDI, text or token-list file into a token list plus
-reader diagnostics.  The CLI reads through _stream_tokens, which leaves the
-tokens of a text or token file a lazy stream, so their list never exists.
-analyze_tokens counts a stream, builds its occurrence spectrum and runs the
-three estimators (rank-law fit, spectrum exponent, rank-tail slope).  The CLI
-and the simulator's verify_zipf both go through analyze_tokens, so
-count -> spectrum -> window -> fit exists once.
+Only this module opens input files.  read_tokens turns a MIDI, text or
+token-list file into tokens plus reader diagnostics; a text or token file's
+tokens are a lazy stream, so their list never exists.  read_grid reads a
+duration grid file as a token file.  analyze_tokens counts a stream, builds
+its occurrence spectrum and runs the three estimators (rank-law fit, spectrum
+exponent, rank-tail slope); the CLI and the simulator's verify_zipf both go
+through it, so count -> spectrum -> window -> fit exists once.
 """
 
 from __future__ import annotations
@@ -44,30 +44,20 @@ def read_tokens(
     kind: str = "auto",
     grid: DurationGrid = DEFAULT_GRID,
     min_ticks: int = 0,
-) -> tuple[str, list[Hashable], dict]:
+) -> tuple[str, Iterable[Hashable], dict]:
     """Read one file and return (resolved kind, tokens, diagnostics).
 
     kind "auto" picks "midi" when the file starts with the MThd magic bytes
     and "text" otherwise.  MIDI notes shorter than min_ticks are dropped and
-    durations are classified on grid; the diagnostics then hold the decoder's
-    tallies plus dropped_short and out_of_grid.  Text and token lists must be
-    UTF-8 (DecodeError otherwise), lose one leading byte-order mark and report
-    no diagnostics.
-    """
-    kind, tokens, diagnostics = _stream_tokens(path, kind, grid, min_ticks)
-    return kind, list(tokens), diagnostics
-
-
-def _stream_tokens(
-    path: str, kind: str, grid: DurationGrid, min_ticks: int
-) -> tuple[str, Iterable[Hashable], dict]:
-    """read_tokens, with the tokens of a text or token file left as a lazy stream.
-
-    The file is decoded whole, so every DecodeError is raised here.  The
-    stream tokenizes one slice of the text at a time; a text slice ends just
-    after whitespace and a token-file slice just after a line feed, so each
-    slice gives the tokens the whole text gives there.  A non-ASCII character
-    sends only its own slice to tokenize_text's word regex.
+    durations are classified on grid; the tokens are a tuple and the
+    diagnostics hold the decoder's tallies plus dropped_short and
+    out_of_grid.  A text or token file reports no diagnostics, and its
+    tokens are a stream that can be consumed once.  The file is decoded
+    whole, so every DecodeError is raised here, and the stream tokenizes one
+    slice of the text at a time.  A text slice ends just after whitespace
+    and a token-file slice just after a line feed, so each slice gives the
+    tokens the whole text gives there; a non-ASCII character sends only its
+    own slice to tokenize_text's word regex.
     """
     data = Path(path).read_bytes()
     if kind == "auto":
@@ -81,20 +71,31 @@ def _stream_tokens(
         return kind, result.tokens, diagnostics
     if kind not in ("text", "tokens"):
         raise ValueError(f"unknown kind {kind!r}")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"{path} is not valid UTF-8: {exc}") from exc
-    # the text is tokenized next; the bytes are not needed for it
-    del data
-    # a byte-order mark is no character of the first token; stripped after
-    # decoding, so a DecodeError's offsets are offsets into the file
-    text = text.removeprefix("\ufeff")
+    text = _decode(data, path)
     if kind == "text":
         # tokenize_text is looked up here, so a wrapper put on that module name
         # sees every slice
         return kind, chain.from_iterable(map(tokenize_text, _slices(text, _TEXT_CUT))), {}
     return kind, chain.from_iterable(map(_token_lines, _slices(text, _LINE_CUT))), {}
+
+
+def read_grid(path: str) -> DurationGrid:
+    """The grid of a token file of rationals; a line starting with '#' is a comment."""
+    text = _decode(Path(path).read_bytes(), path)
+    return DurationGrid.from_ratios(r for r in _token_lines(text) if not r.startswith("#"))
+
+
+def _decode(data: bytes, path: str) -> str:
+    """data as UTF-8 (DecodeError otherwise), less one leading byte-order mark.
+
+    The mark is no character of the first token; it is stripped after
+    decoding, so a DecodeError's offsets are offsets into the file.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{path} is not valid UTF-8: {exc}") from exc
+    return text.removeprefix("\ufeff")
 
 
 def _slices(text: str, cut_after: re.Pattern) -> Iterator[str]:

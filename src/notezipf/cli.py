@@ -9,12 +9,13 @@ time- or environment-dependent is ever written.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 from pathlib import Path
 
-from .analysis import Analysis, _stream_tokens, analyze_tokens
+from .analysis import Analysis, analyze_tokens, read_grid, read_tokens
 from .errors import DegenerateTable, InsufficientSupport, NoRoot, NoteZipfError
 from .fit import predict_n
 from .notes import DEFAULT_GRID, DurationGrid
@@ -30,7 +31,7 @@ def _load_grid(args: argparse.Namespace) -> DurationGrid | None:
     if not args.grid:
         return DEFAULT_GRID
     try:
-        return DurationGrid.from_file(args.grid)
+        return read_grid(args.grid)
     except (NoteZipfError, OSError, ValueError) as exc:
         print(f"error: {args.grid}: {exc}", file=sys.stderr)
         return None
@@ -38,6 +39,11 @@ def _load_grid(args: argparse.Namespace) -> DurationGrid | None:
 
 _FIT_COLUMNS = ("nu", "z", "n0", "a", "b", "sse_log", "chi2", "dof", "p_value", "boundary_warning")
 _COMPARE_COLUMNS = ("path", "kind", "V", "T", *_FIT_COLUMNS)
+_MIDI_DIAGNOSTICS = (
+    "trailing_bytes", "missing_end_of_track", "unmatched_note_ons", "orphan_note_offs",
+    "zero_length_notes", "dropped_short", "out_of_grid",
+)
+_CONFIG_KEYS = ("mode", "steps", "seed", "alpha", "nu")
 
 
 def _payload(analysis: Analysis) -> dict:
@@ -68,7 +74,7 @@ def _analyze(path: str, args: argparse.Namespace, grid: DurationGrid) -> tuple[d
     Raises NoteZipfError subclasses, OSError or ValueError when no report can
     be produced at all; skipped estimates become warnings in the report.
     """
-    kind, tokens, diagnostics = _stream_tokens(path, args.kind, grid, args.min_ticks)
+    kind, tokens, diagnostics = read_tokens(path, args.kind, grid, args.min_ticks)
     analysis = analyze_tokens(tokens, residuals=args.residuals, n_max=args.n_max)
     report = _payload(analysis)
     # a boundary warning needs a fit, so it never comes with "rank-law fit skipped"
@@ -87,7 +93,7 @@ def _analyze(path: str, args: argparse.Namespace, grid: DurationGrid) -> tuple[d
         "residuals": args.residuals,
         "spectrum_n_max": analysis.n_max,
     }
-    report["diagnostics"] = diagnostics
+    report["diagnostics"] = {key: diagnostics[key] for key in _MIDI_DIAGNOSTICS if diagnostics}
     return report, analysis
 
 
@@ -223,8 +229,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "compare.json", {"rows": rows, "errors": errors})
-    csv_rows = (row.values() for row in rows)
-    (out_dir / "compare.csv").write_text(_csv(_COMPARE_COLUMNS, csv_rows), encoding="utf-8")
+    csv_text = _csv(_COMPARE_COLUMNS, (row.values() for row in rows))
+    # a path whose bytes are not UTF-8 is written as those bytes
+    (out_dir / "compare.csv").write_text(csv_text, encoding="utf-8", errors="surrogateescape")
     for row in rows:
         nu = row["nu"]
         print(f"{row['path']}: V={row['V']} T={row['T']} nu={nu!r}")
@@ -261,7 +268,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
-        "config": config.to_dict(),
+        "config": {
+            key: getattr(config, key) for key in _CONFIG_KEYS if getattr(config, key) is not None
+        },
         "V": result.V,
         "T": result.T,
         "verify": verify,
@@ -330,6 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # a path whose bytes are not UTF-8 is printed as those bytes
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="surrogateescape")
     try:
         return args.func(args)
     except OSError as exc:  # input errors are caught per file; this is a write to --out

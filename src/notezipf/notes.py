@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DecodeError, EmptyCorpus
+from .errors import EmptyCorpus
 from .smf import RawNote
 
 
@@ -88,22 +87,6 @@ class DurationGrid:
             except ZeroDivisionError:
                 raise ValueError(f"grid ratio {r!r} has a zero denominator") from None
         return cls(classes)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "DurationGrid":
-        """Read a grid from a text file with one rational per line.
-
-        Blank lines and lines starting with '#' are skipped, and so is one
-        leading byte-order mark.
-        """
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError(f"{path} is not valid UTF-8: {exc}") from exc
-        # stripped after decoding, so a DecodeError's offsets are file offsets
-        lines = text.removeprefix("\ufeff").splitlines()
-        ratios = [line.strip() for line in lines]
-        return cls.from_ratios(r for r in ratios if r and not r.startswith("#"))
 
 
 DEFAULT_GRID = DurationGrid(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
@@ -103,9 +103,6 @@ class SimConfig:
                 raise ValueError(f"sublinear mode needs nu in (0, 1), got {self.nu}")
             if self.alpha is not None:
                 raise ValueError(f"sublinear mode takes no alpha, got {self.alpha}")
-
-    def to_dict(self) -> dict:
-        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 @dataclass(frozen=True)

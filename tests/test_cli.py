@@ -478,3 +478,21 @@ def test_unusable_out_is_an_error(tmp_path, capsys, command, nested):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
     assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux", reason="other systems refuse file names that are not UTF-8"
+)
+def test_a_path_that_is_not_utf8_is_written_and_printed_as_its_bytes(tmp_path):
+    # a strict UTF-8 stdout, as PYTHONIOENCODING=utf-8 or a UTF-8 locale gives
+    name = os.fsdecode(b"\xffpiece.tokens")
+    write_token_corpus(tmp_path / name, rank_law_counts(0.5, 100, 200.0))
+    src = str(Path(notezipf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    for command in ("analyze", "compare"):
+        argv = [sys.executable, "-m", "notezipf.cli", command, name, "--kind", "tokens"]
+        proc = subprocess.run([*argv, "--out", command], cwd=tmp_path, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stdout.startswith(b"\xffpiece.tokens: ")
+    rows = (tmp_path / "compare" / "compare.csv").read_bytes().splitlines()
+    assert rows[1].startswith(b"\xffpiece.tokens,tokens,")

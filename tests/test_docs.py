@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 import re
 import sys
 from collections import defaultdict
@@ -10,6 +11,8 @@ import pytest
 import notezipf
 from notezipf import cli
 
+from _oracles import rank_law_counts
+from midibytes import end_of_track, note_off, note_on, simple_file, track_chunk
 from test_golden import RUNS, corpus  # noqa: F401  (corpus is the golden runs' fixture)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +63,21 @@ def test_runtime_modules_use_every_name_they_import():
                 imported.update(alias.asname or alias.name for alias in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (source.name, sorted(imported - used))
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # a sonata of 240 (pitch, duration) tokens whose counts follow the rank law
+    counts = rank_law_counts(0.4, 240, 300.0)
+    ticks = (96, 48, 144, 24)
+    tokens = [(36 + i % 60, ticks[i // 60]) for i, n in enumerate(counts) for _ in range(n)]
+    random.Random(1).shuffle(tokens)
+    events = [e for pitch, length in tokens for e in (note_on(0, pitch), note_off(length, pitch))]
+    (tmp_path / "sonata.mid").write_bytes(simple_file(96, track_chunk(*events, end_of_track())))
+    example = README.read_text(encoding="utf-8").split("## Library use\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", example, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, str(README), "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 # `name {key, ...}` names a JSON object; `name.csv` columns `a,b` gives a CSV header

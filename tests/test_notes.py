@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from notezipf.analysis import read_grid
 from notezipf.errors import EmptyCorpus
 from notezipf.notes import (
     DEFAULT_GRID,
@@ -68,7 +69,7 @@ class TestDurationGrid:
     def test_from_file(self, tmp_path):
         path = tmp_path / "grid.txt"
         path.write_text("# custom\n2\n1\n1/2\n\n3/2\n")
-        grid = DurationGrid.from_file(path)
+        grid = read_grid(str(path))
         assert [c.ratio for c in grid.classes] == [
             Fraction(1, 2),
             Fraction(1),
@@ -77,13 +78,24 @@ class TestDurationGrid:
         ]
 
     # a byte-order mark is stripped as the text reader strips it: it is no
-    # character of the first ratio, nor does it hide a leading comment
-    @pytest.mark.parametrize("body", ["2\n1/2\n", "# custom\n2\n1/2\n"])
+    # character of the first ratio, nor does it hide a leading comment.
+    # CRLF, a lone CR and trailing blanks end a line as LF does
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "2\n1/2\n",
+            "# custom\n2\n1/2\n",
+            "# custom\r\n2\r\n1/2\r\n",
+            "# custom\r2\r1/2\r",
+            "2 \t\n1/2  \n\n \t\n",
+        ],
+    )
     def test_from_file_drops_a_byte_order_mark(self, tmp_path, body):
         plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
-        plain.write_text(body, encoding="utf-8")
-        marked.write_text("\ufeff" + body, encoding="utf-8")
-        assert DurationGrid.from_file(marked).classes == DurationGrid.from_file(plain).classes
+        plain.write_bytes(body.encode("utf-8"))
+        marked.write_bytes(("\ufeff" + body).encode("utf-8"))
+        expected = DurationGrid.from_ratios(["2", "1/2"]).classes
+        assert read_grid(str(marked)).classes == read_grid(str(plain)).classes == expected
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):

@@ -402,9 +402,8 @@ def test_sliced_reader_matches_whole_text_oracles(corpus_file, text, bom, chunk)
     }
     with mock.patch.object(analysis, "_CHUNK", chunk):
         for kind, tokens in expected.items():
-            _, stream, _ = analysis._stream_tokens(str(corpus_file), kind, DEFAULT_GRID, 0)
-            assert Counter(stream) == Counter(tokens)
-            assert analysis.read_tokens(str(corpus_file), kind)[1] == tokens
+            _, stream, _ = analysis.read_tokens(str(corpus_file), kind)
+            assert list(stream) == tokens
 
 
 # few distinct values, so that tied counts (runs longer than one rank) are common

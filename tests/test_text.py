@@ -8,7 +8,6 @@ import pytest
 from notezipf import analysis
 from notezipf.analysis import read_tokens
 from notezipf.errors import DecodeError, EmptyCorpus
-from notezipf.notes import DEFAULT_GRID
 from notezipf.stats import count_tokens
 from notezipf.text import tokenize_text
 
@@ -63,11 +62,17 @@ class TestTokenizeText:
                 assert all(ch.isalpha() or ch in "'-" for ch in token)
 
 
+def read_token_list(path, kind):
+    """read_tokens with its one-shot token stream drawn into a list."""
+    kind, tokens, diagnostics = read_tokens(str(path), kind)
+    return kind, list(tokens), diagnostics
+
+
 class TestReadTextTokens:
     def test_reads_utf8_file(self, tmp_path):
         path = tmp_path / "novel.txt"
         path.write_text("One fish, two fish.", encoding="utf-8")
-        assert read_tokens(str(path), "text") == ("text", ["one", "fish", "two", "fish"], {})
+        assert read_token_list(path, "text") == ("text", ["one", "fish", "two", "fish"], {})
 
     def test_decode_error(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -77,11 +82,19 @@ class TestReadTextTokens:
                 read_tokens(str(path), kind)
 
     def test_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path):
+        # the line ends and blanks a grid file may hold too: LF, CRLF, a lone
+        # CR, and trailing blanks on a line and after the last one
         path = tmp_path / "bom.tokens"
-        path.write_bytes(b"\xef\xbb\xbfa\nb\na\nc\na\nb\n")
-        _, tokens, _ = read_tokens(str(path), "tokens")
-        assert tokens == ["a", "b", "a", "c", "a", "b"]
-        assert count_tokens(tokens).V == 3
+        for body in (
+            b"a\nb\na\nc\na\nb\n",
+            b"a\r\nb\r\na\r\nc\r\na\r\nb\r\n",
+            b"a\rb\ra\rc\ra\rb\r",
+            b"a \t\nb  \na\nc \na\nb\n\n \t\n",
+        ):
+            path.write_bytes(b"\xef\xbb\xbf" + body)
+            _, tokens, _ = read_token_list(path, "tokens")
+            assert tokens == ["a", "b", "a", "c", "a", "b"]
+            assert count_tokens(tokens).V == 3
 
     def test_byte_order_mark_leaves_ascii_text_tokens_alone(self, tmp_path):
         text = b"A-b it's, well-known THING\n"
@@ -89,7 +102,7 @@ class TestReadTextTokens:
         plain.write_bytes(text)
         bom.write_bytes(b"\xef\xbb\xbf" + text)
         for kind in ("auto", "text"):
-            assert read_tokens(str(bom), kind) == read_tokens(str(plain), kind)
+            assert read_token_list(bom, kind) == read_token_list(plain, kind)
 
     def test_counting_pass_holds_one_slice_of_tokens(self, tmp_path):
         # the CLI's reader tokenizes one slice at a time, so while a file is
@@ -103,7 +116,7 @@ class TestReadTextTokens:
         path.write_text(text, encoding="ascii")
         tracemalloc.start()
         try:
-            _, stream, _ = analysis._stream_tokens(str(path), "text", DEFAULT_GRID, 0)
+            _, stream, _ = read_tokens(str(path), "text")
             tracemalloc.reset_peak()
             table = count_tokens(stream)
             peak = tracemalloc.get_traced_memory()[1]
