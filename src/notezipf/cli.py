@@ -9,6 +9,7 @@ time- or environment-dependent is ever written.
 from __future__ import annotations
 
 import argparse
+import codecs
 import io
 import json
 import os
@@ -339,9 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # a path whose bytes are not UTF-8 is printed as those bytes
+    # a path whose bytes are not UTF-8 is printed as those bytes, and on a
+    # stdout that is not UTF-8 what it cannot hold is a backslash escape
     if isinstance(sys.stdout, io.TextIOWrapper):
-        sys.stdout.reconfigure(errors="surrogateescape")
+        utf8 = codecs.lookup(sys.stdout.encoding).name == "utf-8"
+        sys.stdout.reconfigure(errors="surrogateescape" if utf8 else "backslashreplace")
     try:
         return args.func(args)
     except OSError as exc:  # input errors are caught per file; this is a write to --out

@@ -47,10 +47,6 @@ class InsufficientSupport(NoteZipfError):
     """Too few data points to run an estimator."""
 
 
-class BracketInvalid(NoteZipfError):
-    """Root bracket endpoints do not straddle a sign change."""
-
-
 class NonConvergence(NoteZipfError):
     """Iterative scheme hit its iteration cap before converging."""
 

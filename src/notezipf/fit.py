@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DegenerateTable, DomainError, NoRoot, NonConvergence
-from .numerics import bisect, chi_square_sf, golden_minimize
+from .numerics import chi_square_sf, golden_minimize
 from .stats import RankTable
 
 NU_LOWER = 0.02
@@ -29,7 +29,6 @@ NU_UPPER = 0.98
 _GRID_STEP = 0.01
 _REFINE_TOL = 1e-4
 _BOUNDARY_MARGIN = 1e-3
-_NU_LIMIT_SWITCH = 1e-6
 # Runs of at least this many ranks with one count are summed by Euler-Maclaurin.
 _RUN_MIN = 32
 # Euler-Maclaurin end terms, one per j = 1..4: B_2j / (2j (2j - 1)) and the
@@ -55,16 +54,8 @@ class SimonFit:
 
 
 def _tv_ratio(log_n0: float, nu: float) -> float:
-    """Continuum T/V implied by n0 = exp(log_n0) at exponent nu."""
-    if log_n0 <= 0.0:
-        return 1.0
+    """Continuum T/V implied by n0 = exp(log_n0) > 1 at exponent nu."""
     s = 1.0 - nu
-    if s < _NU_LIMIT_SWITCH:
-        # series limit as nu -> 1: expm1(s*L)/s -> L, with enough correction
-        # terms kept that the branches join well inside 1e-6 relative
-        sl = s * log_n0
-        series = log_n0 * (1.0 + sl / 2.0 + sl * sl / 6.0)
-        return nu * series / -math.expm1(-nu * log_n0)
     if s * log_n0 > 700.0:
         return math.inf
     return nu * math.expm1(s * log_n0) / (s * -math.expm1(-nu * log_n0))
@@ -75,6 +66,9 @@ def solve_n0(T: float, V: float, nu: float) -> float:
 
     The relation's left side is monotone increasing in n0 and tends to 1 as
     n0 -> 1+, so a corpus with T <= V admits no cap; that case raises NoRoot.
+    log n0 is bracketed in [1e-12, 2**99] and bisected to a relative width
+    of 1e-14.  Below T/V = 1 + 5e-13 the root lies under the bracket, and the
+    lower end, n0 = exp(1e-12), is returned.
     """
     if not 0.0 < nu < 1.0:
         raise DomainError(f"nu must lie in (0, 1), got {nu}")
@@ -89,13 +83,27 @@ def solve_n0(T: float, V: float, nu: float) -> float:
     lo = 1e-12
     hi = 1.0
     for _ in range(100):
-        if _tv_ratio(hi, nu) >= target:
+        ratio = _tv_ratio(hi, nu)
+        if ratio >= target:
             break
         lo = hi
         hi *= 2.0
     else:
         raise NonConvergence("could not bracket the occurrence cap")
-    log_root = bisect(lambda log_n0: _tv_ratio(log_n0, nu) - target, lo, hi, rel_tol=1e-14)
+    log_root = hi
+    for _ in range(200):
+        if ratio == target:
+            break
+        if ratio < target:
+            lo = log_root
+        else:
+            hi = log_root
+        log_root = 0.5 * (lo + hi)
+        if hi - lo <= 1e-14 * log_root:
+            break
+        ratio = _tv_ratio(log_root, nu)
+    else:
+        raise NonConvergence("bisection for the occurrence cap did not converge")
     try:
         return math.exp(log_root)
     except OverflowError:

@@ -1,4 +1,4 @@
-"""Self-contained numeric kernels: chi-square tail, bisection, golden-section
+"""Self-contained numeric kernels: chi-square tail, golden-section
 minimization, and least squares on log-log data.
 
 No third-party numerics are used; the contracts here are small enough that an
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import BracketInvalid, DomainError, InsufficientSupport, NonConvergence
+from .errors import DomainError, InsufficientSupport, NonConvergence
 
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
@@ -20,8 +20,6 @@ _MAX_ITER_GAMMA = 600
 
 def _gamma_q_series(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) via the P series (DLMF 8.11.4)."""
-    if x == 0.0:
-        return 1.0
     ap = a
     term = 1.0 / a
     total = term
@@ -76,42 +74,6 @@ def chi_square_sf(x: float, k: float) -> float:
     if x < k + 1.0:
         return _gamma_q_series(a, xg)
     return _gamma_q_contfrac(a, xg)
-
-
-def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Bisection root of f in [lo, hi], to relative interval width rel_tol.
-
-    Raises BracketInvalid unless lo < hi and f(lo), f(hi) straddle zero.
-    """
-    if not lo < hi:
-        raise BracketInvalid(f"need lo < hi, got [{lo}, {hi}]")
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo * f_hi > 0.0:
-        raise BracketInvalid(f"no sign change: f({lo})={f_lo}, f({hi})={f_hi}")
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * abs(0.5 * (lo + hi)):
-            return 0.5 * (lo + hi)
-    raise NonConvergence(f"bisection did not converge in {max_iter} iterations")
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

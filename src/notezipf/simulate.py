@@ -8,8 +8,8 @@ Two innovation schedules are provided:
 
 * constant: a new token appears with fixed probability alpha at every step,
   so the vocabulary grows linearly in expectation.
-* sublinear: a new token appears with probability min(1, nu * t**(nu-1)) at
-  step t, the differential form of V ~ T**nu.
+* sublinear: a new token appears with probability nu * t**(nu-1) at step
+  t, the differential form of V ~ T**nu.
 
 Reproducibility contract: the generator is SplitMix64 (Steele, Lea & Flood's
 64-bit mixer), consuming one draw for the innovation decision and, only on
@@ -130,9 +130,8 @@ def simulate(config: SimConfig) -> SimResult:
     for t in range(2, config.steps + 1):
         if constant:
             p_new = alpha
-        else:  # min(1.0, p_new) by min's own rule, without the call
+        else:  # nu * t**(nu - 1) < nu < 1 for every t >= 2
             p_new = nu * float(t) ** exponent
-            p_new = p_new if p_new < 1.0 else 1.0
         # a uniform double in [0, 1) from the top 53 bits
         if (draw() >> 11) * 2.0**-53 < p_new:
             v += 1

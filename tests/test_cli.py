@@ -496,3 +496,15 @@ def test_a_path_that_is_not_utf8_is_written_and_printed_as_its_bytes(tmp_path):
         assert proc.stdout.startswith(b"\xffpiece.tokens: ")
     rows = (tmp_path / "compare" / "compare.csv").read_bytes().splitlines()
     assert rows[1].startswith(b"\xffpiece.tokens,tokens,")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the escape is checked on Linux only")
+def test_a_path_an_ascii_stdout_cannot_hold_is_printed_as_an_escape(tmp_path):
+    write_token_corpus(tmp_path / "café.tokens", rank_law_counts(0.5, 100, 200.0))
+    src = str(Path(notezipf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii")
+    for command in ("analyze", "compare"):
+        argv = [sys.executable, "-m", "notezipf.cli", command, "café.tokens", "--kind", "tokens"]
+        proc = subprocess.run([*argv, "--out", command], cwd=tmp_path, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stdout.startswith(b"caf\\xe9.tokens: ")

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import asdict
+from decimal import Decimal, localcontext
 from itertools import groupby
 
 import pytest
@@ -66,14 +67,29 @@ class TestSolveN0:
             solve_n0(1e308, 3, 0.5)
 
     def test_limit_branch_continuous_near_one(self):
-        # the nu -> 1 series limit must join the general branch smoothly
-        for log_n0 in (0.01, 1.0, 5.0, 20.0):
-            general = _tv_ratio(log_n0, 1.0 - 1.0000001e-6)
-            limit = _tv_ratio(log_n0, 1.0 - 0.9999999e-6)
-            assert limit == pytest.approx(general, rel=1e-6)
+        # one formula serves nu up to 1 - 2**-52: against a 50-digit decimal
+        # evaluation of the T/V relation its worst error here is 1.3e-15, where
+        # a three-term series in (1 - nu) errs by 1.1e-12 at (1 - 0.9999999e-6, 300)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for nu in (0.02, 0.5, 0.98, 1.0 - 1.0000001e-6, 1.0 - 0.9999999e-6, 1.0 - 2.0**-52):
+                d_nu = Decimal(nu)
+                d_s = 1 - d_nu
+                for log_n0 in (1e-12, 0.01, 1.0, 20.0, 300.0, 600.0):
+                    d_log = Decimal(log_n0)
+                    exact = (
+                        d_nu * ((d_s * d_log).exp() - 1) / (d_s * (1 - (-d_nu * d_log).exp()))
+                    )
+                    error = abs(Decimal(_tv_ratio(log_n0, nu)) - exact) / exact
+                    assert error < Decimal("1e-13"), (nu, log_n0, error)
         n_general = solve_n0(5000, 100, 1.0 - 1.0000001e-6)
         n_limit = solve_n0(5000, 100, 1.0 - 0.9999999e-6)
         assert n_limit == pytest.approx(n_general, rel=1e-5)
+
+    def test_ratio_under_the_bracket_gives_its_lower_end(self):
+        # T/V below 1 + 5e-13 puts the root under log n0 = 1e-12
+        for V in (2, 1000, 10**6):
+            assert 1.0 < solve_n0(V * (1.0 + 1e-13), V, 0.5) <= math.exp(2e-12)
 
 
 class TestCoefficients:

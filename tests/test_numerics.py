@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from notezipf.errors import BracketInvalid, DomainError, InsufficientSupport
+from notezipf.errors import DomainError, InsufficientSupport
 from notezipf.numerics import (
-    bisect,
     chi_square_sf,
     golden_minimize,
     loglog_ols,
@@ -56,40 +55,6 @@ class TestChiSquareSf:
             x = k + 1.0
             a, xg = k / 2.0, x / 2.0
             assert _gamma_q_series(a, xg) == pytest.approx(_gamma_q_contfrac(a, xg), abs=1e-9)
-
-
-class TestBisect:
-    def test_linear_root(self):
-        root = bisect(lambda x: x - 5.0, 0.0, 10.0)
-        assert root == pytest.approx(5.0, rel=1e-10)
-
-    def test_sqrt_root(self):
-        f = lambda x: math.sqrt(x) - 10.0
-        assert bisect(f, 1.0, 1e6) == pytest.approx(100.0, rel=1e-10)
-
-    def test_log_root(self):
-        f = lambda x: math.log(x) - 3.0
-        assert bisect(f, 1.0, 100.0) == pytest.approx(math.e**3, rel=1e-10)
-
-    def test_invalid_bracket_rejected(self):
-        with pytest.raises(BracketInvalid):
-            bisect(lambda x: x * x + 1.0, -1.0, 1.0)
-        with pytest.raises(BracketInvalid):
-            bisect(lambda x: x, 2.0, 1.0)
-
-    def test_endpoint_root_short_circuits(self):
-        f = lambda x: x - 1.0
-        assert bisect(f, 1.0, 2.0) == 1.0
-
-    def test_never_evaluates_outside_bracket(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x - 0.7
-
-        bisect(f, 0.0, 3.0)
-        assert all(0.0 <= x <= 3.0 for x in calls)
 
 
 class TestGoldenMinimize:

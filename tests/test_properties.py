@@ -1,6 +1,7 @@
 """Property tests: SMF write-then-decode round trips, the one-pass decoder
 against a two-pass reference on intact and mutated files, tokenize against a
-per-note classification, the fitted rank law's pinned endpoints
+per-note classification, the solved occurrence cap against the T/V
+ratio it came from, the fitted rank law's pinned endpoints
 n(0) = n0 and n(V) = 1, the rank-law objective's run kernel against
 rank-by-rank sums, the block-computed simulator against the scalar
 SplitMix64 step loop, the ASCII word tokenizer against the word regex, the
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from notezipf import analysis
 from notezipf.cli import main
 from notezipf.errors import EmptyCorpus
-from notezipf.fit import _sse_log, fit_nu, predict_n
+from notezipf.fit import _sse_log, _tv_ratio, fit_nu, predict_n, solve_n0
 from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
 from notezipf.simulate import _LANES, SimConfig, simulate
 from notezipf.smf import RawNote, SmfDiagnostics, SmfHeader, extract_notes, parse_smf
@@ -223,6 +224,16 @@ def test_tokenize_matches_per_note_classification(notes, division, min_ticks, gr
     result = tokenize(notes, division, min_ticks=min_ticks, grid=grid)
     assert result.tokens == tokens
     assert (result.dropped_short, result.out_of_grid) == (dropped, out_of_grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.0 + 1e-9, 1e6), st.integers(2, 10**9), st.floats(0.02, 0.98))
+def test_solved_cap_gives_back_the_corpus_ratio(ratio, V, nu):
+    T = V * ratio
+    n0 = solve_n0(T, V, nu)
+    # the worst of 200,000 random draws was 7.0e-14: half the bisection's
+    # 1e-14 relative width in log n0, times d ln(T/V) / d ln(log n0) <= 18
+    assert _tv_ratio(math.log(n0), nu) == pytest.approx(T / V, rel=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
