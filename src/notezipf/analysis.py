@@ -17,7 +17,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator
 
-from .errors import DecodeError, DegenerateTable, InsufficientSupport, NoRoot, NoteZipfError
+from .errors import DecodeError, DegenerateTable, InsufficientSupport
 from .fit import SimonFit, fit_nu
 from .notes import DEFAULT_GRID, DurationGrid, tokenize
 from .numerics import LogLogFit
@@ -127,7 +127,7 @@ class Analysis:
     spec: dict[int, int]
     n_max: int
     fit: SimonFit | None
-    fit_error: NoteZipfError | None
+    fit_error: DegenerateTable | None
     gamma: LogLogFit | None
     gamma_error: InsufficientSupport | None
     tail: LogLogFit | None
@@ -141,9 +141,9 @@ def analyze_tokens(
 
     residuals selects the rank-law fit objective (see fit_nu).  n_max pins
     the spectrum fit window; None picks the dense low-n window.  Raises
-    EmptyCorpus for an empty stream; DegenerateTable and NoRoot from the
-    rank-law fit and InsufficientSupport from the two log-log fits are
-    caught and stored on the result.
+    EmptyCorpus for an empty stream; DegenerateTable from the rank-law fit
+    (which otherwise has T > V) and InsufficientSupport from the two log-log
+    fits are caught and stored on the result.
     """
     table = count_tokens(tokens)
     spec = spectrum(table)
@@ -151,7 +151,7 @@ def analyze_tokens(
     fit = fit_error = None
     try:
         fit = fit_nu(table, residuals=residuals)
-    except (DegenerateTable, NoRoot) as exc:
+    except DegenerateTable as exc:
         fit_error = exc
 
     if n_max is None:

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .analysis import Analysis, analyze_tokens, read_grid, read_tokens
-from .errors import DegenerateTable, InsufficientSupport, NoRoot, NoteZipfError
+from .errors import InsufficientSupport, NoteZipfError
 from .fit import predict_n
 from .notes import DEFAULT_GRID, DurationGrid
 from .simulate import SimConfig, simulate, verify_zipf
@@ -254,7 +254,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     verify = None
     try:
         estimates = _payload(verify_zipf(result, n_max=args.n_max))
-    except (InsufficientSupport, DegenerateTable, NoRoot) as exc:
+    except InsufficientSupport as exc:
         warnings = [f"verification skipped: {exc}"]
     else:  # verify_zipf raised unless both the spectrum and the rank-law fit ran
         fit, warnings = estimates["fit"], estimates["warnings"]

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DegenerateTable, DomainError, NoRoot, NonConvergence
+from .errors import DegenerateTable, DomainError, NoRoot
 from .numerics import chi_square_sf, golden_minimize
 from .stats import RankTable
 
@@ -66,14 +66,14 @@ def solve_n0(T: float, V: float, nu: float) -> float:
 
     The relation's left side is monotone increasing in n0 and tends to 1 as
     n0 -> 1+, so a corpus with T <= V admits no cap; that case raises NoRoot.
-    log n0 is bracketed in [1e-12, 2**99] and bisected to a relative width
-    of 1e-14.  Below T/V = 1 + 5e-13 the root lies under the bracket, and the
-    lower end, n0 = exp(1e-12), is returned.
+    log n0 is bracketed in [1e-12, 2**63], where the ratio is inf for any nu,
+    and halved to a relative width of 1e-14.  Below T/V = 1 + 5e-13 the root
+    lies under the bracket, and n0 = exp(1e-12) is returned.
     """
     if not 0.0 < nu < 1.0:
         raise DomainError(f"nu must lie in (0, 1), got {nu}")
-    if V < 2 or T < V:
-        raise DomainError(f"need T >= V >= 2, got T={T}, V={V}")
+    if not math.inf > T >= V >= 2:  # a NaN T or V fails this too
+        raise DomainError(f"need finite T >= V >= 2, got T={T}, V={V}")
     try:
         target = T / V
     except OverflowError:
@@ -82,18 +82,11 @@ def solve_n0(T: float, V: float, nu: float) -> float:
         raise NoRoot(f"T/V = {target} <= 1: every count is 1, no cap above 1 exists")
     lo = 1e-12
     hi = 1.0
-    for _ in range(100):
-        ratio = _tv_ratio(hi, nu)
-        if ratio >= target:
-            break
+    while (ratio := _tv_ratio(hi, nu)) < target:
         lo = hi
         hi *= 2.0
-    else:
-        raise NonConvergence("could not bracket the occurrence cap")
     log_root = hi
-    for _ in range(200):
-        if ratio == target:
-            break
+    while ratio != target:
         if ratio < target:
             lo = log_root
         else:
@@ -102,8 +95,6 @@ def solve_n0(T: float, V: float, nu: float) -> float:
         if hi - lo <= 1e-14 * log_root:
             break
         ratio = _tv_ratio(log_root, nu)
-    else:
-        raise NonConvergence("bisection for the occurrence cap did not converge")
     try:
         return math.exp(log_root)
     except OverflowError:

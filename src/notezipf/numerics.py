@@ -15,7 +15,6 @@ from .errors import DomainError, InsufficientSupport, NonConvergence
 
 _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
-_MAX_ITER_GAMMA = 600
 
 
 def _gamma_q_series(a: float, x: float) -> float:
@@ -23,7 +22,7 @@ def _gamma_q_series(a: float, x: float) -> float:
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(_MAX_ITER_GAMMA):
+    for _ in range(600 + 10 * math.isqrt(int(a))):  # near x = a it takes about 8.6 sqrt(a)
         ap += 1.0
         term *= x / ap
         total += term
@@ -39,7 +38,7 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b if b != 0.0 else 1.0 / _FPMIN
     h = d
-    for i in range(1, _MAX_ITER_GAMMA):
+    for i in range(1, 600 + 10 * math.isqrt(int(a))):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -63,10 +62,10 @@ def chi_square_sf(x: float, k: float) -> float:
     Equals Q(k/2, x/2) with Q the regularized upper incomplete gamma; the
     series branch is used for x < k + 1 and the continued fraction beyond.
     """
-    if x < 0.0:
+    if not x >= 0.0:  # a NaN x or k fails these too
         raise DomainError(f"chi-square statistic must be >= 0, got {x}")
-    if k < 1:
-        raise DomainError(f"degrees of freedom must be >= 1, got {k}")
+    if not math.inf > k >= 1:
+        raise DomainError(f"degrees of freedom must be finite and >= 1, got {k}")
     if x == 0.0:
         return 1.0
     a = k / 2.0
