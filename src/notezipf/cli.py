@@ -45,6 +45,7 @@ _MIDI_DIAGNOSTICS = (
     "zero_length_notes", "dropped_short", "out_of_grid",
 )
 _CONFIG_KEYS = ("mode", "steps", "seed", "alpha", "nu")
+_BYTE_ESCAPES = {0xDC00 + byte: f"\\x{byte:02x}" for byte in range(0x80, 0x100)}
 
 
 def _payload(analysis: Analysis) -> dict:
@@ -98,8 +99,18 @@ def _analyze(path: str, args: argparse.Namespace, grid: DurationGrid) -> tuple[d
     return report, analysis
 
 
+def _json_strings(value: object) -> object:
+    """value with each path byte that is not UTF-8, U+DC80..U+DCFF in a str, as \\xNN."""
+    if isinstance(value, dict):
+        return {key: _json_strings(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return list(map(_json_strings, value))
+    return value.translate(_BYTE_ESCAPES) if isinstance(value, str) else value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(_json_strings(payload), indent=2, sort_keys=True)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _cell(value: object) -> str:

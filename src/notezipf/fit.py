@@ -70,8 +70,8 @@ def solve_n0(T: float, V: float, nu: float) -> float:
     and halved to a relative width of 1e-14.  Below T/V = 1 + 5e-13 the root
     lies under the bracket, and n0 = exp(1e-12) is returned.
     """
-    if not 0.0 < nu < 1.0:
-        raise DomainError(f"nu must lie in (0, 1), got {nu}")
+    if not 1e-295 <= nu < 1.0:  # so nu * 1e-12 is a normal float
+        raise DomainError(f"nu must lie in [1e-295, 1), got {nu}")
     if not math.inf > T >= V >= 2:  # a NaN T or V fails this too
         raise DomainError(f"need finite T >= V >= 2, got T={T}, V={V}")
     try:

@@ -69,6 +69,20 @@ def chi_square_sf_quadrature(x: float, k: float, tol: float = 1e-13) -> float:
     return total
 
 
+def chi_square_sf_poisson(x: float, k: int) -> float:
+    """Upper-tail chi-square probability for an even k, as a Poisson sum.
+
+    For integer a = k/2, Q(a, x/2) is the chance that a Poisson variable of
+    mean x/2 falls below a: exp(-x/2) times the sum over j < a of
+    (x/2)**j / j!.  Each term is formed in log space, so none overflows.
+    """
+    if k % 2:
+        raise ValueError(f"the Poisson sum needs an even k, got {k}")
+    m = x / 2.0
+    log_m = math.log(m)
+    return math.fsum(math.exp(j * log_m - m - math.lgamma(j + 1)) for j in range(k // 2))
+
+
 def exact_ols_slope(xs, ys):
     """Plain least-squares slope of ys on xs, written out long-hand."""
     n = len(xs)

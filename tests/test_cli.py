@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -13,7 +14,7 @@ import notezipf
 from notezipf import cli
 from notezipf.cli import main
 
-from _oracles import rank_law_counts
+from _oracles import chi_square_sf_poisson, rank_law_counts
 from midibytes import end_of_track, note_off, note_on, one_note_file, simple_file, track_chunk
 
 
@@ -161,6 +162,27 @@ class TestAnalyze:
         empty.write_text("1234 5678 !!!", encoding="utf-8")
         assert main(["analyze", str(empty), "--out", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_a_good_fit_at_large_dof_reports_its_p_value(self, tmp_path):
+        # a rank law whose counts swing with rank, so chi2/dof lands just
+        # below 1 at dof 20,000: there the incomplete gamma series needs more
+        # than 600 terms, and a fixed cap of 600 ended the run with exit 1
+        nu, n0, V = 0.6, 100.0, 20_002
+        a = n0**-nu
+        b = (1.0 - a) / V
+        rng = random.Random(1)
+        swing = [(a + b * r) ** (-1 / nu) * (1 + 0.93 * math.sin(r / 500)) for r in range(1, V + 1)]
+        counts = [max(1, math.floor(c + rng.random())) for c in swing]
+        corpus = tmp_path / "wave.tokens"
+        write_token_corpus(corpus, counts)
+        out = tmp_path / "out"
+        assert main(["analyze", str(corpus), "--kind", "tokens", "--out", str(out)]) == 0
+        fit = json.loads((out / "report.json").read_text())["fit"]
+        assert fit["dof"] == 20_000
+        assert 0.976 < fit["chi2"] / fit["dof"] < 1.0
+        assert fit["p_value"] == pytest.approx(
+            chi_square_sf_poisson(fit["chi2"], fit["dof"]), rel=1e-8
+        )
 
     def test_deterministic_outputs(self, tmp_path):
         corpus = tmp_path / "corpus.tokens"
@@ -508,3 +530,56 @@ def test_a_path_an_ascii_stdout_cannot_hold_is_printed_as_an_escape(tmp_path):
         proc = subprocess.run([*argv, "--out", command], cwd=tmp_path, env=env, capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         assert proc.stdout.startswith(b"caf\\xe9.tokens: ")
+
+
+def strict_json(path):
+    """The JSON document in path, read as a strict reader would: a string that
+    holds a lone surrogate fails to encode as UTF-8."""
+    document = json.loads(path.read_text(encoding="utf-8"))
+    json.dumps(document, ensure_ascii=False).encode("utf-8")
+    return document
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ("a\x00b.txt", "embedded null byte"),
+        # only an in-process caller can pass a surrogate that no byte decodes to
+        ("\ud800.txt", "surrogates not allowed"),
+    ],
+    ids=["nul", "surrogate"],
+)
+def test_a_path_no_file_can_have_is_one_error_line(tmp_path, capfd, command, path, message):
+    out = tmp_path / "out"
+    assert main([command, path, "--out", str(out)]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert err.count("\n") == 1
+    if command == "compare":
+        [error] = json.loads((out / "compare.json").read_text())["errors"]
+        assert error["path"] == path and error["error"].endswith(message)
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux", reason="other systems refuse file names that are not UTF-8"
+)
+def test_a_path_that_is_not_utf8_is_a_backslash_escape_in_json(tmp_path):
+    good = tmp_path / os.fsdecode(b"\xffpiece.tokens")
+    write_token_corpus(good, rank_law_counts(0.5, 100, 200.0))
+    bad = tmp_path / os.fsdecode(b"\xfebad.txt")
+    bad.write_bytes(b"\xff\xff")
+    grid = tmp_path / os.fsdecode(b"\xfdgrid.txt")
+    grid.write_text("1/4\n1/2\n1\n", encoding="utf-8")
+    escaped = str(tmp_path) + "/\\x"
+    argv = ["--kind", "tokens", "--grid", str(grid)]
+    assert main(["analyze", str(good), *argv, "--out", str(tmp_path / "a")]) == 0
+    report = strict_json(tmp_path / "a" / "report.json")
+    assert report["source"]["path"] == escaped + "ffpiece.tokens"
+    assert report["options"]["grid"] == escaped + "fdgrid.txt"
+    assert main(["compare", str(good), str(bad), *argv, "--out", str(tmp_path / "c")]) == 0
+    document = strict_json(tmp_path / "c" / "compare.json")
+    assert [row["path"] for row in document["rows"]] == [escaped + "ffpiece.tokens"]
+    [error] = document["errors"]
+    assert error["path"] == escaped + "febad.txt"
+    assert error["error"].startswith(escaped + "febad.txt is not valid UTF-8")

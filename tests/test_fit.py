@@ -62,6 +62,28 @@ class TestSolveN0:
         with pytest.raises(DomainError, match="exceeds the float range"):
             solve_n0(10**9 + 2, 3, 0.98)
 
+    @pytest.mark.parametrize("nu", [1e-320, 5e-296, 0.99e-295])
+    def test_nu_below_its_bound_is_a_domain_error(self, nu):
+        # below the bound nu * log n0 underflows: at 1e-320 a root near 1 + 2e-9 read 1.021
+        with pytest.raises(DomainError, match=r"nu must lie in \[1e-295, 1\)"):
+            solve_n0(10 * (1 + 1e-9), 10, nu)
+
+    @pytest.mark.parametrize("T, V", [(10 * (1 + 1e-9), 10), (15, 10), (1000, 10), (1e12, 7)])
+    def test_root_at_the_lowest_nu(self, T, V):
+        # at nu = 1e-295 the relation is its nu -> 0 limit, T/V = (n0 - 1) / log n0,
+        # solved here by bisection on log n0 in 50-digit decimals
+        with localcontext() as ctx:
+            ctx.prec = 50
+            target = Decimal(T) / Decimal(V)
+            lo, hi = Decimal("1e-13"), Decimal(1)
+            while hi.exp() - 1 < target * hi:
+                lo, hi = hi, 2 * hi
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if mid.exp() - 1 < target * mid else (lo, mid)
+            expected = float(lo.exp())
+        assert solve_n0(T, V, 1e-295) == pytest.approx(expected, rel=1e-12)
+
     def test_cap_of_huge_total_is_a_domain_error(self):
         with pytest.raises(DomainError, match="exceeds the float range"):
             solve_n0(1e308, 3, 0.5)

@@ -12,7 +12,7 @@ from notezipf.numerics import (
     _gamma_q_series,
 )
 
-from _oracles import chi_square_sf_quadrature
+from _oracles import chi_square_sf_poisson, chi_square_sf_quadrature
 
 
 class TestChiSquareSf:
@@ -39,6 +39,12 @@ class TestChiSquareSf:
         with pytest.raises(DomainError):
             chi_square_sf(-0.5, 3)
 
+    @pytest.mark.parametrize("x, k", [(math.nan, 3), (5.0, math.nan), (5.0, math.inf)])
+    def test_nan_or_infinite_arguments_rejected(self, x, k):
+        # the pass cap is derived from k, so k must be finite before it is read
+        with pytest.raises(DomainError):
+            chi_square_sf(x, k)
+
     def test_monotone_and_bounded(self):
         rng = random.Random(20240811)
         for _ in range(300):
@@ -48,6 +54,13 @@ class TestChiSquareSf:
             p1 = chi_square_sf(x1, k)
             p2 = chi_square_sf(x2, k)
             assert 0.0 <= p2 <= p1 <= 1.0
+
+    @pytest.mark.parametrize("k", [20_000, 100_000, 1_000_000])
+    def test_large_dof_against_poisson_sum_oracle(self, k):
+        # near x = k the series takes about 8.6 sqrt(k/2) terms, more than any
+        # fixed cap: 600 runs out from k = 11,053 on
+        for x in (0.98 * k, float(k), k + 0.5, 1.001 * k):
+            assert chi_square_sf(x, k) == pytest.approx(chi_square_sf_poisson(x, k), rel=1e-8)
 
     def test_branches_agree_at_crossover(self):
         # at x = k + 1 either expansion must be valid

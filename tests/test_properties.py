@@ -1,8 +1,8 @@
 """Property tests: SMF write-then-decode round trips, the one-pass decoder
 against a two-pass reference on intact and mutated files, tokenize against a
 per-note classification, the solved occurrence cap against the T/V
-ratio it came from, the fitted rank law's pinned endpoints
-n(0) = n0 and n(V) = 1, the rank-law objective's run kernel against
+ratio it came from and its end on any ratio and nu, the fitted rank law's
+pinned endpoints n(0) = n0 and n(V) = 1, the rank-law objective's run kernel against
 rank-by-rank sums, the block-computed simulator against the scalar
 SplitMix64 step loop, the ASCII word tokenizer against the word regex, the
 slice-by-slice file reader against the regex and the line split at tiny
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from notezipf import analysis
 from notezipf.cli import main
-from notezipf.errors import EmptyCorpus
+from notezipf.errors import DomainError, EmptyCorpus
 from notezipf.fit import _sse_log, _tv_ratio, fit_nu, predict_n, solve_n0
 from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
 from notezipf.simulate import _LANES, SimConfig, simulate
@@ -234,6 +234,30 @@ def test_solved_cap_gives_back_the_corpus_ratio(ratio, V, nu):
     # the worst of 200,000 random draws was 7.0e-14: half the bisection's
     # 1e-14 relative width in log n0, times d ln(T/V) / d ln(log n0) <= 18
     assert _tv_ratio(math.log(n0), nu) == pytest.approx(T / V, rel=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**6), st.floats(1e-15, 1e300), st.floats(1e-295, 1.0 - 2.0**-53))
+def test_solve_n0_ends_with_a_cap_or_the_float_range_error(V, excess, nu):
+    # neither loop has a pass cap: the bracket ends by log n0 = 2**63 and
+    # every bisection pass halves the bracket
+    try:
+        n0 = solve_n0(V * (1.0 + excess), V, nu)
+    except DomainError as exc:
+        assert "exceeds the float range" in str(exc)
+    else:
+        assert n0 > 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([(math.nan, 10), (100, math.nan), (math.inf, math.inf)]),
+    st.floats(1e-295, 1.0 - 2.0**-53),
+)
+def test_solve_n0_refuses_a_total_that_is_not_finite(totals, nu):
+    # past the check, a NaN T would come back as exp(1e-12) from the bisection
+    with pytest.raises(DomainError, match="need finite T >= V >= 2"):
+        solve_n0(*totals, nu)
 
 
 @settings(max_examples=40, deadline=None)
