@@ -68,6 +68,8 @@ def chi_square_sf(x: float, k: float) -> float:
         raise DomainError(f"degrees of freedom must be finite and >= 1, got {k}")
     if x == 0.0:
         return 1.0
+    if x == math.inf:  # the tail is exactly 0; the continued fraction never settles there
+        return 0.0
     a = k / 2.0
     xg = x / 2.0
     if x < k + 1.0:

@@ -19,16 +19,27 @@ steps, seed) therefore produce byte-identical streams on any platform.
 SplitMix64's k-th output (k = 1, 2, ...) is mix(seed + k*gamma mod 2**64), a
 pure function of k.  So the outputs are computed a block at a time, as the
 128-bit lanes of one Python int, and the draw order is unchanged.
+
+simulate runs in two phases, and the stream contract above holds across both.
+While the innovation probability p(t) is at or above a small cutoff, a scalar
+loop takes each step in turn.  Below it (from the start in constant mode with
+a small alpha, and once t is large enough in sublinear mode) innovations are
+rare, so the decision draws between two of them are every other draw.  The
+bulk phase finds the next draw that could innovate by a byte search, appends
+every reuse step before it with one list.extend, and decides that step
+exactly as the scalar loop would.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+from itertools import chain, repeat
+from operator import mul, rshift
 
 from .analysis import Analysis, analyze_tokens
 from .errors import InsufficientSupport
@@ -56,9 +67,12 @@ def _lane_constants() -> tuple[int, int, int]:
 
 def _u64_blocks(seed: int) -> Iterator[array]:
     steps, ones, low = _lane_constants()
-    state = seed & _MASK64  # the state before the block's first draw
+    # lane i holds the state of the block's draw i + 1, and each block adds
+    # _LANES * gamma to every lane
+    state = (steps + ((seed + _GAMMA) & _MASK64) * ones) & low
+    advance = (_LANES * _GAMMA & _MASK64) * ones
     while True:
-        z = (steps + ((state + _GAMMA) & _MASK64) * ones) & low
+        z = state
         # Mask every lane to 64 bits before it multiplies: the shifts pull the
         # next lane's low bits into this lane's high half, and a product of
         # that garbage would carry into the next lane.
@@ -69,7 +83,7 @@ def _u64_blocks(seed: int) -> Iterator[array]:
         if sys.byteorder == "big":
             words.byteswap()
         yield words[::2]  # each lane's low word
-        state = (state + _LANES * _GAMMA) & _MASK64
+        state = (state + advance) & low
 
 
 def _u64_stream(seed: int) -> Iterator[int]:
@@ -91,6 +105,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("constant", "sublinear"):
             raise ValueError(f"mode must be 'constant' or 'sublinear', got {self.mode!r}")
+        for name in ("steps", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.mode == "constant":
@@ -117,6 +135,100 @@ class SimResult:
         return len(self.tokens)
 
 
+_CUTOFF = 0.03  # steps whose innovation probability is below this run in bulk
+_TOP = 7 if sys.byteorder == "little" else 0  # where a native "Q" keeps its top byte
+
+
+def _innovation_limit(p_new: float) -> int:
+    """An integer above every draw that innovates with probability at most
+    p_new.  A draw d innovates when (d >> 11) < p_new * 2**53, so every such
+    draw is below (int(p_new * 2**53) + 1) << 11; one unit more covers a p(t)
+    that is not exactly monotone in floats."""
+    return (int(p_new * 2.0**53) + 2) << 11
+
+
+@cache
+def _top_table(top: int) -> bytes:
+    """The bytes.translate table that maps a byte to 0 if it is at most top
+    and to 1 otherwise."""
+    return bytes(b > top for b in range(256))
+
+
+def _first_bulk_step(config: SimConfig) -> int:
+    """The first step whose innovation probability is below _CUTOFF, to within
+    rounding, or steps + 1 if there is none; simulate runs the steps from it
+    in bulk."""
+    if config.mode == "constant":
+        return 2 if config.alpha < _CUTOFF else config.steps + 1
+    # nu * t**(nu - 1) < _CUTOFF once log t > log_t; compared in logs, as t
+    # itself overflows a float when nu is near 1
+    log_t = math.log(config.nu / _CUTOFF) / (1.0 - config.nu)
+    if log_t >= math.log(config.steps):
+        return config.steps + 1
+    return max(2, math.floor(math.exp(log_t)) + 1)
+
+
+def _bulk_steps(config: SimConfig, tokens: list[int], v: int) -> int:
+    """Append steps len(tokens) + 1 .. steps to tokens, as the scalar loop of
+    simulate would, and return the vocabulary size.
+
+    Steps 2 .. t - 1 took 2t - 3 - v draws, and the k-th draw depends on k
+    alone, so the generator restarts there.  Between innovations, the decision
+    draws are every other draw.  The first one below the innovation limit is
+    found by a byte search over their top bytes, every reuse step before it is
+    appended by one extend, and that candidate step is decided exactly.
+    extend reads the list it grows, so a step may copy a token appended
+    earlier in the same call.
+    """
+    steps = config.steps
+    constant = config.mode == "constant"
+    alpha = config.alpha if constant else 0.0
+    nu = config.nu if not constant else 0.0
+    exponent = nu - 1.0
+    t = len(tokens) + 1
+    blocks = _u64_blocks(config.seed + (2 * t - 3 - v) * _GAMMA)
+    buf = array("Q")
+    pos = 0  # buf[pos] is the next unused draw
+    append = tokens.append
+    extend = tokens.extend
+    while t <= steps:
+        p_new = alpha if constant else nu * float(t) ** exponent
+        # 4/p steps hold the next innovation 98% of the time; the cap of
+        # _LANES / 2 steps keeps the buffer within two blocks
+        n = min(steps + 1 - t, int(4.0 / max(p_new, 8.0 / _LANES)))
+        if len(buf) < pos + 2 * n:
+            buf = buf[pos:]
+            pos = 0
+            while len(buf) < 2 * n:
+                buf += next(blocks)
+        limit = _innovation_limit(p_new)
+        # 0 where a decision draw's top byte is at most the limit's: a
+        # superset of the draws below the limit
+        table = _top_table((limit - 1) >> 56)
+        tops = buf[pos : pos + 2 * n].tobytes()[_TOP::16].translate(table)
+        j = tops.find(0)
+        while j >= 0 and buf[pos + 2 * j] >= limit:
+            j = tops.find(0, j + 1)
+        if j < 0:
+            j = n
+        # steps t .. t + j - 1 reuse, with the scalar loop's multiply-shift
+        products = map(mul, buf[pos + 1 : pos + 2 * j : 2], range(t - 1, t - 1 + j))
+        extend(map(tokens.__getitem__, map(rshift, products, repeat(64))))
+        t += j
+        pos += 2 * j
+        if j < n:  # step t's decision draw is below the limit
+            p_new = alpha if constant else nu * float(t) ** exponent
+            if (buf[pos] >> 11) * 2.0**-53 < p_new:
+                v += 1
+                append(v)
+                pos += 1
+            else:
+                append(tokens[(buf[pos + 1] * (t - 1)) >> 64])
+                pos += 2
+            t += 1
+    return v
+
+
 def simulate(config: SimConfig) -> SimResult:
     """Run the process; step 1 always introduces token 1."""
     draw = _u64_stream(config.seed).__next__
@@ -127,7 +239,8 @@ def simulate(config: SimConfig) -> SimResult:
     alpha = config.alpha if constant else 0.0
     nu = config.nu if not constant else 0.0
     exponent = nu - 1.0
-    for t in range(2, config.steps + 1):
+    start = _first_bulk_step(config)
+    for t in range(2, start):
         if constant:
             p_new = alpha
         else:  # nu * t**(nu - 1) < nu < 1 for every t >= 2
@@ -138,6 +251,8 @@ def simulate(config: SimConfig) -> SimResult:
             append(v)
         else:  # a uniform history index in [0, t - 1) by 64-bit multiply-shift
             append(tokens[(draw() * (t - 1)) >> 64])
+    if start <= config.steps:
+        v = _bulk_steps(config, tokens, v)
     return SimResult(tokens=tuple(tokens), V=v)
 
 

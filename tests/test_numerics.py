@@ -45,6 +45,12 @@ class TestChiSquareSf:
         with pytest.raises(DomainError):
             chi_square_sf(x, k)
 
+    @pytest.mark.parametrize("k", [1, 3, 1e4, 1e6])
+    def test_infinite_statistic_has_zero_tail(self, k):
+        # the continued fraction never settles at x = inf; the tail is exactly 0,
+        # as at the largest finite x
+        assert chi_square_sf(math.inf, k) == 0.0 == chi_square_sf(1e308, k)
+
     def test_monotone_and_bounded(self):
         rng = random.Random(20240811)
         for _ in range(300):

@@ -26,7 +26,14 @@ from notezipf.cli import main
 from notezipf.errors import DomainError, EmptyCorpus
 from notezipf.fit import _sse_log, _tv_ratio, fit_nu, predict_n, solve_n0
 from notezipf.notes import DEFAULT_GRID, DurationGrid, NoteToken, tokenize
-from notezipf.simulate import _LANES, SimConfig, simulate
+from notezipf.simulate import (
+    _CUTOFF,
+    _LANES,
+    SimConfig,
+    _first_bulk_step,
+    _innovation_limit,
+    simulate,
+)
 from notezipf.smf import RawNote, SmfDiagnostics, SmfHeader, extract_notes, parse_smf
 from notezipf.stats import RankTable, count_tokens, spectrum
 from notezipf.text import tokenize_text
@@ -357,6 +364,62 @@ SIM_CONFIGS = st.builds(
 @given(SIM_CONFIGS)
 def test_simulate_matches_scalar_step_loop(config):
     assert simulate(config) == reference_simulate(config)
+
+
+# nu * 2**(nu - 1) is above the cutoff for nu >= 0.06, and the bulk phase
+# starts within 6,700 steps for nu <= 0.65: a scalar prefix, then up to three
+# blocks of bulk draws
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.06, 0.65), st.integers(0, 3 * _LANES), SIM_SEEDS)
+def test_bulk_phase_after_the_crossing_matches_scalar_step_loop(nu, extra, seed):
+    start = _first_bulk_step(SimConfig("sublinear", 10**9, seed, nu=nu))
+    config = SimConfig("sublinear", start + extra, seed, nu=nu)
+    assert 2 < start <= config.steps
+    assert simulate(config) == reference_simulate(config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([0.0, 5e-324, math.nextafter(_CUTOFF, 0.0), _CUTOFF]) | st.floats(0.0, _CUTOFF),
+    st.integers(1, 3 * _LANES),
+    SIM_SEEDS,
+)
+def test_constant_mode_below_and_at_the_cutoff_matches_scalar_step_loop(alpha, steps, seed):
+    config = SimConfig("constant", steps, seed, alpha=alpha)
+    # below the cutoff every step runs in bulk, at it none does
+    assert _first_bulk_step(config) == (2 if alpha < _CUTOFF else steps + 1)
+    assert simulate(config) == reference_simulate(config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([5e-324, 1e-9, 1.0 - 1e-9, math.nextafter(1.0, 0.0)])
+    | st.floats(5e-324, 1e-9)
+    | st.floats(1.0 - 1e-9, 1.0, exclude_max=True),
+    st.integers(1, 3 * _LANES),
+    SIM_SEEDS,
+)
+def test_nu_at_the_ends_of_its_range_matches_scalar_step_loop(nu, steps, seed):
+    # near 0 every step runs in bulk; near 1 the switch step would overflow a float
+    config = SimConfig("sublinear", steps, seed, nu=nu)
+    assert _first_bulk_step(config) == (2 if nu < 0.5 else steps + 1)
+    assert simulate(config) == reference_simulate(config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(2, 10**12),
+    st.sampled_from([0, 1, 2]) | st.integers(0, 10**12),
+)
+def test_innovation_limit_bounds_every_later_innovating_draw(nu, t, later):
+    # a draw d innovates at step t' when (d >> 11) * 2**-53 < p(t'), so the
+    # largest such draw has top 53 bits ceil(p(t') * 2**53) - 1 and low 11 bits set
+    def p(step):
+        return nu * float(step) ** (nu - 1.0)
+
+    largest = ((math.ceil(p(t + later) * 2.0**53) - 1) << 11) | 0x7FF
+    assert largest < _innovation_limit(p(t))
 
 
 # ASCII text weighted toward the joiners and runs of them, with letters of

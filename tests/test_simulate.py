@@ -4,17 +4,26 @@ import os
 import statistics
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 
 import pytest
 
 import notezipf
 from notezipf.errors import DegenerateTable, InsufficientSupport
-from notezipf.simulate import _LANES, SimConfig, SimResult, _u64_stream, simulate, verify_zipf
+from notezipf.simulate import (
+    _LANES,
+    SimConfig,
+    SimResult,
+    _first_bulk_step,
+    _u64_stream,
+    simulate,
+    verify_zipf,
+)
 
-from _oracles import SplitMix64, enumerate_simon_distribution
+from _oracles import SplitMix64, enumerate_simon_distribution, reference_simulate
 
 
 class TestSplitMix64:
@@ -82,6 +91,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="takes no nu"):
             SimConfig(mode="constant", steps=10, seed=1, alpha=0.5, nu=0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("steps", 10.5), ("steps", True), ("steps", "10"), ("seed", 1.5), ("seed", False), ("seed", None)],
+    )
+    def test_steps_and_seed_must_be_ints(self, field, value):
+        # a float failed inside simulate as a bare TypeError, and steps=True ran one step
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            SimConfig(mode="constant", alpha=0.5, **{"steps": 10, "seed": 1, field: value})
+
 
 class TestSimulate:
     def test_always_innovate(self):
@@ -139,6 +157,36 @@ class TestSimulate:
             for s in range(1, 11)
         ]
         assert 0.7 * 100_000**0.5 <= statistics.mean(vs) <= 1.3 * 100_000**0.5
+
+
+class TestBulkPhase:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimConfig(mode="sublinear", steps=30_000, seed=1, nu=0.5),
+            SimConfig(mode="sublinear", steps=30_000, seed=-7, nu=0.62),
+            SimConfig(mode="constant", steps=30_000, seed=2, alpha=0.02),
+        ],
+    )
+    def test_runs_ending_at_the_switch_step_and_at_block_boundaries(self, config):
+        reference = reference_simulate(config).tokens
+        vocabulary = list(accumulate(reference, max))  # ids are dense, in first-appearance order
+
+        def draws(steps):  # one per step after the first, one more per reuse step
+            return 2 * (steps - 1) - (vocabulary[steps - 1] - 1)
+
+        start = _first_bulk_step(config)
+        restart = draws(start - 1)  # where the bulk phase restarts the generator
+        ends = [start - 1, start, start + 1]
+        # steps whose draws, counted from the restart, end at a block's end,
+        # one draw past it or one draw short of it
+        for offset in (0, 1, _LANES - 1):
+            ends += [s for s in range(start, config.steps) if (draws(s) - restart) % _LANES == offset][:3]
+        assert len(ends) == 12
+        for steps in ends:
+            result = simulate(replace(config, steps=steps))
+            assert result.tokens == reference[:steps]
+            assert result.V == vocabulary[steps - 1]
 
 
 class TestReuseRuleEquivalence:
