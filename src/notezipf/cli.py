@@ -194,34 +194,33 @@ def _compare_results(paths: list[str], args: argparse.Namespace, grid: DurationG
 
     With n = min(usable CPUs, files) > 1, file i goes to a pool of n - 1
     worker processes unless i % n == 0; this process analyzes those files
-    meanwhile.  A file whose worker died is analyzed again here, so the
-    results are the serial loop's.  With n == 1 the files are analyzed
-    lazily in this process and no pool module is imported.
+    meanwhile.  If a worker dies or cannot start, the workers are stopped and
+    every file is analyzed lazily here, as with n == 1 (which imports no pool
+    module), so the results are always the serial loop's.
     """
+    serial = (_compare_one(path, args, grid) for path in paths)
     n = min(_usable_cpus(), len(paths))
     if n == 1:
-        return (_compare_one(path, args, grid) for path in paths)
+        return serial
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import active_children
 
-    results: list = [None] * len(paths)
-    with ProcessPoolExecutor(n - 1) as pool:
-        try:
+    try:
+        with ProcessPoolExecutor(n - 1) as pool:
             futures = {
                 i: pool.submit(_compare_one, path, args, grid)
                 for i, path in enumerate(paths)
                 if i % n
             }
-        except BrokenProcessPool:  # a worker died before every file was handed out
-            futures = {}
-        for i in range(0, len(paths), n):
-            results[i] = _compare_one(paths[i], args, grid)
-        for i, future in futures.items():
-            try:
-                results[i] = future.result()
-            except BrokenProcessPool:
-                pass  # analyzed again below, once the pool is shut down
-    return [result or _compare_one(path, args, grid) for path, result in zip(paths, results)]
+            # this process's files first, so it never waits on a worker before they are done
+            done = {i: _compare_one(path, args, grid) for i, path in enumerate(paths) if i % n == 0}
+            return [done[i] if i in done else futures[i].result() for i in range(len(paths))]
+    except (BrokenProcessPool, OSError):  # a worker died, or a fork or pipe failed
+        for child in active_children():  # a started worker would block exit
+            child.terminate()
+            child.join()
+        return serial
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

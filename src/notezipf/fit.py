@@ -105,9 +105,9 @@ def solve_n0(T: float, V: float, nu: float) -> float:
 
 def coefficients(n0: float, V: float, nu: float) -> tuple[float, float]:
     """Offset a = 1/n0**nu and slope b = (1 - a)/V; a + b*V = 1 by construction."""
-    if n0 < 1.0:
+    if not n0 >= 1.0:
         raise DomainError(f"n0 must be >= 1, got {n0}")
-    a = math.exp(-nu * math.log(n0)) if n0 > 1.0 else 1.0
+    a = math.exp(-nu * math.log(n0))
     b = (1.0 - a) / V
     return a, b
 

@@ -39,6 +39,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, repeat
+from numbers import Real
 from operator import mul, rshift
 
 from .analysis import Analysis, analyze_tokens
@@ -109,6 +110,10 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("alpha", "nu"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, Real) or isinstance(value, bool)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.mode == "constant":

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -376,6 +377,56 @@ class TestCompare:
         assert died.exists()
         assert parallel == serial  # so no traceback either
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the pool starts its workers by os.fork",
+    )
+    @pytest.mark.parametrize("failing_fork", [1, 2])
+    def test_a_worker_that_cannot_start_leaves_the_serial_output(
+        self, tmp_path, monkeypatch, capfd, failing_fork
+    ):
+        # a fresh interpreter, because a worker left blocked on the pool's
+        # queue makes the interpreter hang at exit; it leads its own process
+        # group, so a timeout can kill that worker with it
+        paths = self.mixed_inputs(tmp_path)
+        code, serial, captured = self.run_compare(paths, tmp_path / "serial", 1, monkeypatch, capfd)
+        script = (
+            "import os, sys; from notezipf import cli; forks, real_fork = [], os.fork\n"
+            "def fork():\n"
+            "    forks.append(None)\n"
+            f"    if len(forks) == {failing_fork}:\n"
+            "        raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
+            "    return real_fork()\n"
+            "os.fork, cli._usable_cpus = fork, lambda: 3\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "parallel"
+        src = str(Path(notezipf.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-W", "error", "-c", script, "compare", *paths, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"compare hung after fork {failing_fork} failed")
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            left = False
+        else:
+            left = True
+            os.killpg(proc.pid, signal.SIGKILL)
+        assert not left, "a process of the compare run is still alive"
+        assert (proc.returncode, stdout, stderr) == (code, captured.out, captured.err)
+        assert {name: (out / name).read_bytes() for name in serial} == serial
 
 
 def analyze_outputs(path, out, *options):

@@ -123,6 +123,11 @@ class TestCoefficients:
     def test_degenerate_cap(self):
         assert coefficients(1.0, 50, 0.3) == (1.0, 0.0)
 
+    def test_nan_cap_is_a_domain_error(self):
+        # it gave (1.0, 0.0), the coefficients of n0 = 1
+        with pytest.raises(DomainError, match="n0 must be >= 1"):
+            coefficients(math.nan, 50, 0.3)
+
     def test_sum_identity(self):
         rng = random.Random(5)
         for _ in range(200):

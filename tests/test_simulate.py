@@ -100,6 +100,29 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             SimConfig(mode="constant", alpha=0.5, **{"steps": 10, "seed": 1, field: value})
 
+    @pytest.mark.parametrize(
+        "mode, field, value",
+        [
+            ("constant", "alpha", "0.5"),
+            ("constant", "alpha", True),
+            ("constant", "alpha", False),
+            ("sublinear", "nu", "0.5"),
+            ("sublinear", "nu", 1 + 0j),
+            ("sublinear", "nu", True),
+            ("sublinear", "alpha", "0.5"),
+        ],
+    )
+    def test_alpha_and_nu_must_be_real_numbers(self, mode, field, value):
+        # a str or complex failed the range check as a bare TypeError, and
+        # alpha=True ran as alpha = 1
+        params = {"alpha": 0.5} if mode == "constant" else {"nu": 0.5}
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            SimConfig(mode=mode, steps=10, seed=1, **{**params, field: value})
+
+    @pytest.mark.parametrize("alpha", [0, 1, Fraction(1, 3), 0.25])
+    def test_real_alpha_of_any_numeric_type_is_accepted(self, alpha):
+        assert SimConfig(mode="constant", steps=10, seed=1, alpha=alpha).alpha == alpha
+
 
 class TestSimulate:
     def test_always_innovate(self):
