@@ -18,12 +18,18 @@ pair is dropped.  extract_notes concatenates the tracks' notes.  A RawNote
 is a (onset, track, channel, pitch, duration) tuple, so sorting notes orders
 them by onset with that tie-break.
 
+The track decoder reads delta times of one and two bytes inline and hands
+longer or malformed ones to read_vlq.  parse_smf pauses the cyclic garbage
+collector while it builds the notes, which all survive, and restores the
+caller's setting afterwards, also when decoding fails.
+
 MissingHeader covers both an absent MThd chunk and one whose fixed fields are
 malformed (bad length, unknown format, zero division).
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -110,9 +116,12 @@ def _parse_track(data: bytes, track: int, diag: SmfDiagnostics) -> tuple[list[Ra
     tick = 0
     kind = 0  # status nibble of the running status; 0 when none is in scope
     while pos < end:
-        if data[pos] < 0x80:  # one-byte delta, the common case
-            tick += data[pos]
+        if (byte := data[pos]) < 0x80:  # one-byte delta, the common case
+            tick += byte
             pos += 1
+        elif pos + 1 < end and data[pos + 1] < 0x80:  # two-byte delta
+            tick += (byte & 0x7F) << 7 | data[pos + 1]
+            pos += 2
         else:
             delta, pos = read_vlq(data, pos)
             tick += delta
@@ -217,26 +226,34 @@ def parse_smf(data: bytes) -> tuple[SmfHeader, list[list[RawNote]], SmfDiagnosti
     tracks: list[list[RawNote]] = []
     diag = SmfDiagnostics()
     pos = 8 + header_len
-    while pos < len(data):
-        if pos + 8 > len(data):
-            diag.trailing_bytes = len(data) - pos
-            break
-        chunk_type = data[pos : pos + 4]
-        chunk_len = int.from_bytes(data[pos + 4 : pos + 8], "big")
-        if pos + 8 + chunk_len > len(data):
-            if len(tracks) >= declared_tracks:
+    # every RawNote survives, so a collection while they are built frees
+    # nothing; the collector is paused, and a caller's setting kept
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while pos < len(data):
+            if pos + 8 > len(data):
                 diag.trailing_bytes = len(data) - pos
                 break
-            raise TruncatedChunk(
-                f"{chunk_type!r} chunk declares {chunk_len} bytes past end of buffer"
-            )
-        payload = data[pos + 8 : pos + 8 + chunk_len]
-        pos += 8 + chunk_len
-        if chunk_type == b"MTrk":
-            track, saw_eot = _parse_track(payload, len(tracks), diag)
-            tracks.append(track)
-            if not saw_eot:
-                diag.missing_end_of_track += 1
+            chunk_type = data[pos : pos + 4]
+            chunk_len = int.from_bytes(data[pos + 4 : pos + 8], "big")
+            if pos + 8 + chunk_len > len(data):
+                if len(tracks) >= declared_tracks:
+                    diag.trailing_bytes = len(data) - pos
+                    break
+                raise TruncatedChunk(
+                    f"{chunk_type!r} chunk declares {chunk_len} bytes past end of buffer"
+                )
+            payload = data[pos + 8 : pos + 8 + chunk_len]
+            pos += 8 + chunk_len
+            if chunk_type == b"MTrk":
+                track, saw_eot = _parse_track(payload, len(tracks), diag)
+                tracks.append(track)
+                if not saw_eot:
+                    diag.missing_end_of_track += 1
+    finally:
+        if enabled:
+            gc.enable()
     return SmfHeader(format=fmt, track_count=len(tracks), division=division), tracks, diag
 
 

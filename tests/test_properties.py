@@ -1,14 +1,15 @@
 """Property tests: SMF write-then-decode round trips, the one-pass decoder
-against a two-pass reference on intact and mutated files, tokenize against a
-per-note classification, the solved occurrence cap against the T/V
-ratio it came from and its end on any ratio and nu, the fitted rank law's
-pinned endpoints n(0) = n0 and n(V) = 1, the rank-law objective's run kernel against
-rank-by-rank sums, the block-computed simulator against the scalar
-SplitMix64 step loop, the ASCII word tokenizer against the word regex, the
-slice-by-slice file reader against the regex and the line split at tiny
-slice sizes, the rank table's runs against a plain Counter, and the CLI's
-typed-error contract: on any input and any parseable options, main returns
-0 or 1 and no exception escapes."""
+against a two-pass reference on intact and mutated files and on delta times
+of every length, tokenize against a per-note classification, the solved
+occurrence cap against the T/V ratio it came from and its end on any
+ratio and nu, the fitted rank law's pinned endpoints n(0) = n0 and
+n(V) = 1, the rank-law objective's run kernel against rank-by-rank sums,
+the block-computed simulator against the scalar SplitMix64 step loop, the
+ASCII word tokenizer against the word regex, the slice-by-slice file reader
+against the regex and the line split at tiny slice sizes, the rank table's
+runs against a plain Counter, and the CLI's typed-error contract: on any
+input and any parseable options, main returns 0 or 1 and no exception
+escapes."""
 
 import math
 from collections import Counter
@@ -55,6 +56,7 @@ from midibytes import (
     running,
     simple_file,
     track_chunk,
+    vlq,
 )
 
 # (channel, pitch, onset, duration) of one note; a few favoured keys make
@@ -185,6 +187,65 @@ def test_decoder_matches_two_pass_reference(tracks, division, mutations, data):
         assert (parsed_header, parsed_diag) == (header, diag)
         assert [note for track in parsed_tracks for note in track] == notes
         assert all(note.track == i for i, track in enumerate(parsed_tracks) for note in track)
+
+
+# delta times of one to four bytes, and the values at each length's ends
+BOUNDARY_DELTAS = [0, 127, 128, 16383, 16384, 2**21 - 1, 2**21, 2**28 - 1]
+DELTAS = (
+    st.sampled_from(BOUNDARY_DELTAS)
+    | st.integers(0, 127)
+    | st.integers(128, 16383)
+    | st.integers(16384, 2**21 - 1)
+    | st.integers(2**21, 2**28 - 1)
+)
+# (delta, status, pitch, velocity, reuse running status if it repeats)
+DELTA_EVENTS = st.lists(
+    st.tuples(
+        DELTAS,
+        st.sampled_from([0x80, 0x90, 0x91]),
+        st.sampled_from([60, 61]),
+        st.sampled_from([0, 64]),
+        st.booleans(),
+    ),
+    max_size=12,
+)
+# each track: its events, the end-of-track delta, and where to cut it (an
+# index of the event, end-of-track included, whose delta's first byte ends
+# the track), or None for an intact track
+DELTA_TRACKS = st.lists(
+    st.tuples(DELTA_EVENTS, DELTAS, st.none() | st.integers(0, 12)), min_size=1, max_size=3
+)
+
+
+def delta_track(events, eot_delta, cut):
+    parts, status = [], None
+    for delta, new_status, pitch, velocity, reuse in events:
+        if new_status == status and reuse:
+            parts.append(running(delta, pitch, velocity))
+        else:
+            parts.append(vlq(delta) + bytes([new_status, pitch, velocity]))
+        status = new_status
+    parts.append(end_of_track(eot_delta))
+    if cut is not None:
+        cut %= len(parts)
+        parts[cut:] = [parts[cut][:1]]
+    return chunk(b"MTrk", b"".join(parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(DELTA_TRACKS)
+@example([([(d, 0x90, 60, 64, True) for d in BOUNDARY_DELTAS], 2**28 - 1, None)])
+@example([([(200, 0x90, 60, 64, False)], 0, 0)])
+@example([([(0, 0x90, 60, 64, False), (16384, 0x90, 60, 0, True)], 5, 1)])
+def test_decoder_matches_two_pass_reference_on_every_delta_length(tracks):
+    # deltas of one to four bytes, running status, and tracks cut right after
+    # a delta's first byte, which leaves a one-byte delta without its event
+    # and a longer one unterminated; the header, the notes in order and the
+    # diagnostics, or the error's type and message, must match
+    buffer = simple_file(96, *(delta_track(*track) for track in tracks))
+    assert decoded_or_error(extract_notes, buffer) == decoded_or_error(
+        reference_extract_notes, buffer
+    )
 
 
 def tokenize_per_note(notes, division, min_ticks, grid):

@@ -1,8 +1,11 @@
+import gc
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 
+from notezipf import smf
 from notezipf.errors import (
     DanglingStatus,
     InvalidVlq,
@@ -337,6 +340,51 @@ class TestParseErrors:
         message = "^expected channel message data byte at offset 3, got status 0x80$"
         with pytest.raises(DanglingStatus, match=message):
             parse_smf(data)
+
+
+class TestCollectorSetting:
+    """parse_smf pauses the cyclic collector while it builds the notes; the
+    caller finds the setting it had, also after a decoding error."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_is_kept(self, enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        seen = []  # gc.isenabled() as each track is decoded
+        parse_track = smf._parse_track
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return parse_track(*args)
+
+        data = simple_file(96, track_chunk(note_on(0, 60), note_off(96, 60), end_of_track()))
+        with mock.patch.object(smf, "_parse_track", recording):
+            _, notes, _ = extract_notes(data)
+        assert len(notes) == 1
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    def test_enabled_again_after_an_error_mid_track(self):
+        gc.enable()
+        data = simple_file(
+            96,
+            track_chunk(note_on(0, 60), note_off(96, 60), end_of_track()),
+            track_chunk(note_on(0, 60), vlq(0) + bytes([0x90, 0x3C])),
+        )
+        with pytest.raises(TruncatedChunk, match="^track data ends inside a channel message$"):
+            extract_notes(data)
+        assert gc.isenabled()
 
 
 class TestProperties:
