@@ -116,7 +116,12 @@ def _write_json(path: Path, payload: dict) -> None:
 def _cell(value: object) -> str:
     if value is None:
         return ""
-    return repr(value) if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return repr(value)
+    # RFC 4180: a cell with a separator, a quote or a line break is quoted
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return str(value)
 
 
 def _csv(header: list[str], rows) -> str:

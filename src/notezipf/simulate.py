@@ -20,19 +20,18 @@ SplitMix64's k-th output (k = 1, 2, ...) is mix(seed + k*gamma mod 2**64), a
 pure function of k.  So the outputs are computed a block at a time, as the
 128-bit lanes of one Python int, and the draw order is unchanged.
 
-simulate runs in two phases, and the stream contract above holds across both.
-While the innovation probability p(t) is at or above a small cutoff, a scalar
-loop takes each step in turn.  Below it (from the start in constant mode with
-a small alpha, and once t is large enough in sublinear mode) innovations are
-rare, so the decision draws between two of them are every other draw.  The
-bulk phase finds the next draw that could innovate by a byte search, appends
-every reuse step before it with one list.extend, and decides that step
-exactly as the scalar loop would.
+simulate runs the process in one function, and the stream contract above
+holds throughout.  Its step loop takes each step in turn until the innovation
+probability p(t) falls below a small cutoff, at the first step in constant
+mode with a small alpha and once t is large enough in sublinear mode.  There
+it hands over to a bulk loop: innovations are now rare, so the decision draws
+between two of them are every other draw.  The bulk loop finds the next draw
+that could innovate by a byte search, appends every reuse step before it with
+one list.extend, and decides that step exactly as the step loop would.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from collections.abc import Iterator
@@ -162,42 +161,45 @@ def _top_table(top: int) -> bytes:
     return bytes(b > top for b in range(256))
 
 
-def _first_bulk_step(config: SimConfig) -> int:
-    """The first step whose innovation probability is below _CUTOFF, to within
-    rounding, or steps + 1 if there is none; simulate runs the steps from it
-    in bulk."""
-    if config.mode == "constant":
-        return 2 if config.alpha < _CUTOFF else config.steps + 1
-    # nu * t**(nu - 1) < _CUTOFF once log t > log_t; compared in logs, as t
-    # itself overflows a float when nu is near 1
-    log_t = math.log(config.nu / _CUTOFF) / (1.0 - config.nu)
-    if log_t >= math.log(config.steps):
-        return config.steps + 1
-    return max(2, math.floor(math.exp(log_t)) + 1)
+def simulate(config: SimConfig) -> SimResult:
+    """Run the process; step 1 always introduces token 1.
 
-
-def _bulk_steps(config: SimConfig, tokens: list[int], v: int) -> int:
-    """Append steps len(tokens) + 1 .. steps to tokens, as the scalar loop of
-    simulate would, and return the vocabulary size.
-
-    Steps 2 .. t - 1 took 2t - 3 - v draws, and the k-th draw depends on k
-    alone, so the generator restarts there.  Between innovations, the decision
-    draws are every other draw.  The first one below the innovation limit is
-    found by a byte search over their top bytes, every reuse step before it is
-    appended by one extend, and that candidate step is decided exactly.
+    The step loop runs while p(t) is at least _CUTOFF and hands the rest of
+    the steps to the bulk loop.  Steps 2 .. t - 1 took 2t - 3 - v draws, and
+    the k-th draw depends on k alone, so the bulk loop restarts the generator
+    there.  It finds the first decision draw below the innovation limit by a
+    byte search over the top bytes of every other draw, appends every reuse
+    step before it by one extend, and decides that candidate step exactly.
     extend reads the list it grows, so a step may copy a token appended
     earlier in the same call.
     """
     steps = config.steps
+    draw = _u64_stream(config.seed).__next__
+    tokens = [1]
+    append = tokens.append
+    v = 1
     constant = config.mode == "constant"
     alpha = config.alpha if constant else 0.0
     nu = config.nu if not constant else 0.0
     exponent = nu - 1.0
-    t = len(tokens) + 1
+    for t in range(2, steps + 1):
+        if constant:
+            p_new = alpha
+        else:  # nu * t**(nu - 1) < nu < 1 for every t >= 2
+            p_new = nu * float(t) ** exponent
+        if p_new < _CUTOFF:
+            break
+        # a uniform double in [0, 1) from the top 53 bits
+        if (draw() >> 11) * 2.0**-53 < p_new:
+            v += 1
+            append(v)
+        else:  # a uniform history index in [0, t - 1) by 64-bit multiply-shift
+            append(tokens[(draw() * (t - 1)) >> 64])
+    else:  # no step is left for the bulk loop
+        return SimResult(tokens=tuple(tokens), V=v)
     blocks = _u64_blocks(config.seed + (2 * t - 3 - v) * _GAMMA)
     buf = array("Q")
     pos = 0  # buf[pos] is the next unused draw
-    append = tokens.append
     extend = tokens.extend
     while t <= steps:
         p_new = alpha if constant else nu * float(t) ** exponent
@@ -219,7 +221,7 @@ def _bulk_steps(config: SimConfig, tokens: list[int], v: int) -> int:
             j = tops.find(0, j + 1)
         if j < 0:
             j = n
-        # steps t .. t + j - 1 reuse, with the scalar loop's multiply-shift
+        # steps t .. t + j - 1 reuse, with the step loop's multiply-shift
         products = map(mul, buf[pos + 1 : pos + 2 * j : 2], range(t - 1, t - 1 + j))
         extend(map(tokens.__getitem__, map(rshift, products, repeat(64))))
         t += j
@@ -234,33 +236,6 @@ def _bulk_steps(config: SimConfig, tokens: list[int], v: int) -> int:
                 append(tokens[(buf[pos + 1] * (t - 1)) >> 64])
                 pos += 2
             t += 1
-    return v
-
-
-def simulate(config: SimConfig) -> SimResult:
-    """Run the process; step 1 always introduces token 1."""
-    draw = _u64_stream(config.seed).__next__
-    tokens = [1]
-    append = tokens.append
-    v = 1
-    constant = config.mode == "constant"
-    alpha = config.alpha if constant else 0.0
-    nu = config.nu if not constant else 0.0
-    exponent = nu - 1.0
-    start = _first_bulk_step(config)
-    for t in range(2, start):
-        if constant:
-            p_new = alpha
-        else:  # nu * t**(nu - 1) < nu < 1 for every t >= 2
-            p_new = nu * float(t) ** exponent
-        # a uniform double in [0, 1) from the top 53 bits
-        if (draw() >> 11) * 2.0**-53 < p_new:
-            v += 1
-            append(v)
-        else:  # a uniform history index in [0, t - 1) by 64-bit multiply-shift
-            append(tokens[(draw() * (t - 1)) >> 64])
-    if start <= config.steps:
-        v = _bulk_steps(config, tokens, v)
     return SimResult(tokens=tuple(tokens), V=v)
 
 

@@ -193,6 +193,21 @@ def reference_simulate(config):
     return SimResult(tokens=tuple(tokens), V=v)
 
 
+def first_bulk_step(config):
+    """The first step t <= steps whose innovation probability is below
+    simulate._CUTOFF, in the step loop's own float expression, or steps + 1.
+
+    simulate's step loop hands over to its bulk loop at this step.
+    """
+    from notezipf.simulate import _CUTOFF
+
+    for t in range(2, config.steps + 1):
+        p_new = config.alpha if config.mode == "constant" else config.nu * float(t) ** (config.nu - 1.0)
+        if p_new < _CUTOFF:
+            return t
+    return config.steps + 1
+
+
 # a word: letters (\w minus digits and underscore) joined by single internal
 # apostrophes or hyphens
 _REFERENCE_WORD = re.compile(r"[^\W\d_]+(?:['-][^\W\d_]+)*")

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -275,6 +276,17 @@ class TestCompare:
         csv_lines = (out / "compare.csv").read_text().splitlines()
         assert csv_lines[0].startswith("path,kind,V,T,nu,z,n0,a,b,")
         assert len(csv_lines) == 3
+
+    def test_csv_quotes_paths_with_commas_and_quotes(self, tmp_path):
+        paths = [tmp_path / "x,y.txt", tmp_path / 'q"z.txt']
+        for path in paths:
+            path.write_text("the cat saw the dog and the bird\n" * 40, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["compare", *map(str, paths), "--kind", "text", "--out", str(out)]) == 0
+        with open(out / "compare.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [len(row) for row in rows] == [14, 14, 14]
+        assert sorted(row[0] for row in rows[1:]) == sorted(map(str, paths))
 
     def test_corrupt_file_reported_survivors_proceed(self, tmp_path, capsys):
         good = tmp_path / "good.tokens"

@@ -31,7 +31,6 @@ from notezipf.simulate import (
     _CUTOFF,
     _LANES,
     SimConfig,
-    _first_bulk_step,
     _innovation_limit,
     simulate,
 )
@@ -41,6 +40,7 @@ from notezipf.text import tokenize_text
 
 from _oracles import (
     direct_log_sse,
+    first_bulk_step,
     lgamma_log_sum,
     reference_extract_notes,
     reference_simulate,
@@ -433,7 +433,7 @@ def test_simulate_matches_scalar_step_loop(config):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.06, 0.65), st.integers(0, 3 * _LANES), SIM_SEEDS)
 def test_bulk_phase_after_the_crossing_matches_scalar_step_loop(nu, extra, seed):
-    start = _first_bulk_step(SimConfig("sublinear", 10**9, seed, nu=nu))
+    start = first_bulk_step(SimConfig("sublinear", 10**9, seed, nu=nu))
     config = SimConfig("sublinear", start + extra, seed, nu=nu)
     assert 2 < start <= config.steps
     assert simulate(config) == reference_simulate(config)
@@ -448,7 +448,7 @@ def test_bulk_phase_after_the_crossing_matches_scalar_step_loop(nu, extra, seed)
 def test_constant_mode_below_and_at_the_cutoff_matches_scalar_step_loop(alpha, steps, seed):
     config = SimConfig("constant", steps, seed, alpha=alpha)
     # below the cutoff every step runs in bulk, at it none does
-    assert _first_bulk_step(config) == (2 if alpha < _CUTOFF else steps + 1)
+    assert first_bulk_step(config) == (2 if alpha < _CUTOFF else steps + 1)
     assert simulate(config) == reference_simulate(config)
 
 
@@ -461,9 +461,10 @@ def test_constant_mode_below_and_at_the_cutoff_matches_scalar_step_loop(alpha, s
     SIM_SEEDS,
 )
 def test_nu_at_the_ends_of_its_range_matches_scalar_step_loop(nu, steps, seed):
-    # near 0 every step runs in bulk; near 1 the switch step would overflow a float
+    # near 0 every step runs in bulk; near 1 none does, and the closed-form
+    # switch step (nu/0.03)**(1/(1 - nu)) would overflow a float
     config = SimConfig("sublinear", steps, seed, nu=nu)
-    assert _first_bulk_step(config) == (2 if nu < 0.5 else steps + 1)
+    assert first_bulk_step(config) == (2 if nu < 0.5 else steps + 1)
     assert simulate(config) == reference_simulate(config)
 
 

@@ -14,16 +14,19 @@ import pytest
 import notezipf
 from notezipf.errors import DegenerateTable, InsufficientSupport
 from notezipf.simulate import (
+    _GAMMA,
     _LANES,
     SimConfig,
     SimResult,
-    _first_bulk_step,
     _u64_stream,
     simulate,
     verify_zipf,
 )
 
-from _oracles import SplitMix64, enumerate_simon_distribution, reference_simulate
+from _oracles import SplitMix64, enumerate_simon_distribution, first_bulk_step, reference_simulate
+
+# the package exports the function simulate under the module's name
+simulate_module = sys.modules["notezipf.simulate"]
 
 
 class TestSplitMix64:
@@ -198,7 +201,7 @@ class TestBulkPhase:
         def draws(steps):  # one per step after the first, one more per reuse step
             return 2 * (steps - 1) - (vocabulary[steps - 1] - 1)
 
-        start = _first_bulk_step(config)
+        start = first_bulk_step(config)
         restart = draws(start - 1)  # where the bulk phase restarts the generator
         ends = [start - 1, start, start + 1]
         # steps whose draws, counted from the restart, end at a block's end,
@@ -210,6 +213,40 @@ class TestBulkPhase:
             result = simulate(replace(config, steps=steps))
             assert result.tokens == reference[:steps]
             assert result.V == vocabulary[steps - 1]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimConfig(mode="constant", steps=3_000, seed=4, alpha=0.02),
+            SimConfig(mode="constant", steps=3_000, seed=4, alpha=0.03),
+            SimConfig(mode="constant", steps=3_000, seed=4, alpha=0.5),
+            SimConfig(mode="sublinear", steps=277, seed=5, nu=0.5),
+            SimConfig(mode="sublinear", steps=278, seed=5, nu=0.5),
+            SimConfig(mode="sublinear", steps=3_000, seed=5, nu=0.5),
+            SimConfig(mode="sublinear", steps=3_000, seed=6, nu=0.9),
+        ],
+    )
+    def test_the_bulk_loop_restarts_the_generator_exactly_when_p_falls_below_the_cutoff(
+        self, config, monkeypatch
+    ):
+        # the stream tests pass whether or not the step loop ever hands over;
+        # the restart of the generator shows that it does
+        seeds = []
+        blocks = simulate_module._u64_blocks
+
+        def recording_blocks(seed):
+            seeds.append(seed % 2**64)
+            return blocks(seed)
+
+        monkeypatch.setattr(simulate_module, "_u64_blocks", recording_blocks)
+        result = simulate(config)
+        assert result == reference_simulate(config)
+        start = first_bulk_step(config)
+        if start > config.steps:
+            assert seeds == [config.seed % 2**64]
+        else:
+            v = max(result.tokens[: start - 1])
+            assert seeds == [config.seed % 2**64, (config.seed + (2 * start - 3 - v) * _GAMMA) % 2**64]
 
 
 class TestReuseRuleEquivalence:
