@@ -21,7 +21,7 @@ from .errors import DecodeError, DegenerateTable, InsufficientSupport
 from .fit import SimonFit, fit_nu
 from .notes import DEFAULT_GRID, DurationGrid, tokenize
 from .numerics import LogLogFit
-from .smf import extract_notes
+from .smf import collector_paused, extract_notes
 from .stats import (
     RankTable,
     count_tokens,
@@ -51,24 +51,31 @@ def read_tokens(
     and "text" otherwise.  MIDI notes shorter than min_ticks are dropped and
     durations are classified on grid; the tokens are a tuple and the
     diagnostics hold the decoder's tallies plus dropped_short and
-    out_of_grid.  A text or token file reports no diagnostics, and its
-    tokens are a stream that can be consumed once.  The file is decoded
-    whole, so every DecodeError is raised here, and the stream tokenizes one
-    slice of the text at a time.  A text slice ends just after whitespace
-    and a token-file slice just after a line feed, so each slice gives the
-    tokens the whole text gives there; a non-ASCII character sends only its
-    own slice to tokenize_text's word regex.
+    out_of_grid.  The cyclic garbage collector is paused from decoding until
+    the input buffer and the notes are freed, and is then as the caller had
+    it, also when decoding or tokenize raises.  A text or token file reports
+    no diagnostics, and its tokens are a stream that can be consumed once.
+    The file is decoded whole, so every DecodeError is raised here, and the
+    stream tokenizes one slice of the text at a time.  A text slice ends just
+    after whitespace and a token-file slice just after a line feed, so each
+    slice gives the tokens the whole text gives there; a non-ASCII character
+    sends only its own slice to tokenize_text's word regex.
     """
     data = Path(path).read_bytes()
     if kind == "auto":
         kind = "midi" if data.startswith(b"MThd") else "text"
     if kind == "midi":
-        header, notes, diag = extract_notes(data)
-        result = tokenize(notes, header.division, min_ticks=min_ticks, grid=grid)
-        diagnostics = asdict(diag)
-        diagnostics["dropped_short"] = result.dropped_short
-        diagnostics["out_of_grid"] = result.out_of_grid
-        return kind, result.tokens, diagnostics
+        # the notes are freed before the collector resumes, so no collection
+        # ever walks them; nothing is allocated after it resumes here
+        with collector_paused():
+            header, notes, diag = extract_notes(data)
+            del data
+            result = tokenize(notes, header.division, min_ticks=min_ticks, grid=grid)
+            del notes
+            diagnostics = asdict(diag)
+            diagnostics["dropped_short"] = result.dropped_short
+            diagnostics["out_of_grid"] = result.out_of_grid
+            return kind, result.tokens, diagnostics
     if kind not in ("text", "tokens"):
         raise ValueError(f"unknown kind {kind!r}")
     text = _decode(data, path)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .analysis import Analysis, analyze_tokens, read_grid, read_tokens
 from .errors import InsufficientSupport, NoteZipfError
-from .fit import predict_n
+from .fit import predicted_counts
 from .notes import DEFAULT_GRID, DurationGrid
 from .simulate import SimConfig, simulate, verify_zipf
 
@@ -134,12 +134,14 @@ def _write_analysis(report: dict, analysis: Analysis, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", report)
     fit = analysis.fit
-    ranks = enumerate(analysis.table.counts(), start=1)
+    counts = analysis.table.counts()
+    ranks = range(1, len(counts) + 1)
     # one f-string per row: V rows, so _csv's per-cell calls would dominate
     if fit is None:
-        rows = (f"{rank},{observed}," for rank, observed in ranks)
+        rows = (f"{rank},{observed}," for rank, observed in zip(ranks, counts))
     else:
-        rows = (f"{rank},{observed},{predict_n(rank, fit)!r}" for rank, observed in ranks)
+        predicted = predicted_counts(fit, len(counts))
+        rows = (f"{rank},{observed},{p!r}" for rank, observed, p in zip(ranks, counts, predicted))
     (out_dir / "ranks.csv").write_text(
         "\n".join(["rank,observed,predicted", *rows]) + "\n", encoding="utf-8"
     )

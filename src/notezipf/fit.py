@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable
 
 from .errors import DegenerateTable, DomainError, NoRoot
@@ -119,6 +120,17 @@ def _predict(r: float, a: float, b: float, z: float) -> float:
 def predict_n(r: float, fit: SimonFit) -> float:
     """Predicted occurrence count at rank r (r = 0 gives n0, r = V gives 1)."""
     return _predict(r, fit.a, fit.b, fit.z)
+
+
+def _log_curve(V: int, a: float, b: float) -> list[float]:
+    """log(a + b*r) at ranks r = 1..V, computed as _predict and _sse_log compute it."""
+    return [math.log(a + b * r) for r in range(1, V + 1)]
+
+
+def predicted_counts(fit: SimonFit, V: int) -> list[float]:
+    """predict_n at ranks 1..V, float for float."""
+    a, b, minus_z = fit.a, fit.b, -fit.z
+    return [math.exp(minus_z * math.log(a + b * r)) for r in range(1, V + 1)]
 
 
 def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
@@ -268,14 +280,19 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
     n0 = solve_n0(T, V, nu_hat)
     a, b = coefficients(n0, V, nu_hat)
     z = 1.0 / nu_hat
-    chi2, dof, p_value = chi_square_gof(counts, a, b, z)
+    # the closing per-rank sums share log(a + b*r), and take log(count) once
+    # per run; besides that one list they hold no list of V terms
+    log_curve = _log_curve(V, a, b)
+    observed = chain.from_iterable(repeat(math.log(count), n) for count, n in table.runs)
+    sse_log = math.fsum((obs + z * u) ** 2 for obs, u in zip(observed, log_curve))
+    chi2, dof, p_value = _chi_square(counts, log_curve, z)
     return SimonFit(
         nu=nu_hat,
         z=z,
         n0=n0,
         a=a,
         b=b,
-        sse_log=_sse_log(enumerate(map(math.log, counts), start=1), [], a, b, z),
+        sse_log=sse_log,
         chi2=chi2,
         dof=dof,
         p_value=p_value,
@@ -291,11 +308,15 @@ def chi_square_gof(counts: list[int], a: float, b: float, z: float) -> tuple[flo
     Returns (chi2, dof, p_value) with dof = V - 2: one fitted exponent plus
     the constraint the corpus total imposes through the cap.
     """
+    return _chi_square(counts, _log_curve(len(counts), a, b), z)
+
+
+def _chi_square(counts: list[int], log_curve: list[float], z: float) -> tuple[float, int, float]:
+    """chi_square_gof with log(a + b*r) given by rank, as _log_curve returns it."""
+    minus_z = -z
     try:
         chi2 = math.fsum(
-            (c - pred) ** 2 / pred
-            for r, c in enumerate(counts, start=1)
-            for pred in (_predict(r, a, b, z),)
+            (c - (pred := math.exp(minus_z * u))) ** 2 / pred for c, u in zip(counts, log_curve)
         )
     except OverflowError:
         raise DomainError(f"chi-square statistic exceeds {_FLOAT_RANGE}") from None

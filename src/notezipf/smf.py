@@ -19,9 +19,12 @@ is a (onset, track, channel, pitch, duration) tuple, so sorting notes orders
 them by onset with that tie-break.
 
 The track decoder reads delta times of one and two bytes inline and hands
-longer or malformed ones to read_vlq.  parse_smf pauses the cyclic garbage
-collector while it builds the notes, which all survive, and restores the
-caller's setting afterwards, also when decoding fails.
+longer or malformed ones to read_vlq.  Within a track, notes of equal
+duration share one int object.  A RawNote is a tuple subclass, so the cyclic
+garbage collector tracks every note; parse_smf runs inside collector_paused,
+since the notes all survive a collection while they are built.
+collector_paused restores the caller's setting on exit, also when decoding
+fails.
 
 MissingHeader covers both an absent MThd chunk and one whose fixed fields are
 malformed (bad length, unknown format, zero division).
@@ -70,6 +73,22 @@ class RawNote(NamedTuple):
     duration: int
 
 
+class collector_paused:
+    """Context manager that turns the cyclic garbage collector off inside it.
+
+    On exit the collector is as the caller had it, also when the body raises;
+    exiting allocates nothing, so no collection starts as it resumes.
+    """
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if self.enabled:
+            gc.enable()
+
+
 @dataclass
 class SmfDiagnostics:
     trailing_bytes: int = 0
@@ -110,6 +129,7 @@ def _parse_track(data: bytes, track: int, diag: SmfDiagnostics) -> tuple[list[Ra
     notes: list[RawNote] = []
     pending: dict[int, deque[int]] = {}
     new_note = tuple.__new__  # a RawNote without the Python frame of its __new__
+    share = {}.setdefault  # the track's one int object per distinct duration
     saw_eot = False
     end = len(data)
     pos = 0
@@ -185,7 +205,10 @@ def _parse_track(data: bytes, track: int, diag: SmfDiagnostics) -> tuple[list[Ra
                 continue
             onset = queue.popleft()
             if tick > onset:
-                notes.append(new_note(RawNote, (onset, track, channel, first, tick - onset)))
+                duration = tick - onset
+                notes.append(
+                    new_note(RawNote, (onset, track, channel, first, share(duration, duration)))
+                )
             else:
                 diag.zero_length_notes += 1
     for key in sorted(pending):
@@ -193,7 +216,10 @@ def _parse_track(data: bytes, track: int, diag: SmfDiagnostics) -> tuple[list[Ra
         for onset in pending[key]:
             diag.unmatched_note_ons += 1
             if tick > onset:
-                notes.append(new_note(RawNote, (onset, track, channel, pitch, tick - onset)))
+                duration = tick - onset
+                notes.append(
+                    new_note(RawNote, (onset, track, channel, pitch, share(duration, duration)))
+                )
             else:
                 diag.zero_length_notes += 1
     return notes, saw_eot
@@ -226,11 +252,8 @@ def parse_smf(data: bytes) -> tuple[SmfHeader, list[list[RawNote]], SmfDiagnosti
     tracks: list[list[RawNote]] = []
     diag = SmfDiagnostics()
     pos = 8 + header_len
-    # every RawNote survives, so a collection while they are built frees
-    # nothing; the collector is paused, and a caller's setting kept
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    # every RawNote survives, so a collection while they are built frees nothing
+    with collector_paused():
         while pos < len(data):
             if pos + 8 > len(data):
                 diag.trailing_bytes = len(data) - pos
@@ -251,9 +274,6 @@ def parse_smf(data: bytes) -> tuple[SmfHeader, list[list[RawNote]], SmfDiagnosti
                 tracks.append(track)
                 if not saw_eot:
                     diag.missing_end_of_track += 1
-    finally:
-        if enabled:
-            gc.enable()
     return SmfHeader(format=fmt, track_count=len(tracks), division=division), tracks, diag
 
 

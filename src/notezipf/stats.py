@@ -7,6 +7,7 @@ so it is a pure function of the token multiset, independent of stream order.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 from .errors import DomainError, EmptyCorpus, InsufficientSupport
@@ -27,7 +28,7 @@ class RankTable:
     __slots__ = ("runs", "V", "T")
 
     def __init__(self, entries: Iterable[tuple[Hashable, int]]) -> None:
-        self.runs = tuple(sorted(Counter(count for _, count in entries).items(), reverse=True))
+        self.runs = tuple(sorted(Counter(map(itemgetter(1), entries)).items(), reverse=True))
         if self.runs and self.runs[-1][0] <= 0:
             raise DomainError(f"counts must be positive, got {self.runs[-1][0]}")
         self.V = sum(ranks for _, ranks in self.runs)

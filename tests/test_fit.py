@@ -14,6 +14,7 @@ from notezipf.fit import (
     coefficients,
     fit_nu,
     predict_n,
+    predicted_counts,
     solve_n0,
     _tv_ratio,
 )
@@ -158,6 +159,10 @@ class TestPredictN:
         # 1/(0.1 + 0.1*4)^2 = 1/0.25 = 4
         assert predict_n(4, fit) == pytest.approx(4.0, rel=1e-12)
 
+    def test_predicted_counts_are_predict_n_at_each_rank(self):
+        fit = fit_nu(table_from_counts(rank_law_counts(0.4, 500, 300.0)))
+        assert predicted_counts(fit, 500) == [predict_n(r, fit) for r in range(1, 501)]
+
 
 class TestFitNu:
     def test_recovers_forward_generated_exponent(self):
@@ -272,6 +277,19 @@ class TestFitNu:
     def test_linear_residuals_beyond_float_range_are_a_domain_error(self):
         with pytest.raises(DomainError, match="squared residuals exceeds the float range"):
             fit_nu(table_from_counts([10**300, 1, 1]), residuals="linear")
+
+    def test_closing_sums_are_the_per_rank_sums(self):
+        # runs of equal counts, each summed with its log(count) taken once
+        counts = rank_law_counts(0.6, 2000, 800.0)
+        fit = fit_nu(table_from_counts(counts))
+        a, b, z = fit.a, fit.b, fit.z
+        logs = [math.log(a + b * r) for r in range(1, len(counts) + 1)]
+        assert fit.sse_log == math.fsum(
+            (math.log(c) + z * u) ** 2 for c, u in zip(counts, logs)
+        )
+        preds = [predict_n(r, fit) for r in range(1, len(counts) + 1)]
+        assert fit.chi2 == math.fsum((c - p) ** 2 / p for c, p in zip(counts, preds))
+        assert fit.chi2 == chi_square_gof(counts, a, b, z)[0]
 
     def test_serialization_round_trip(self):
         fit = fit_nu(table_from_counts(rank_law_counts(0.4, 300, 500.0)))

@@ -1,13 +1,15 @@
 import gc
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
 import pytest
 
-from notezipf import smf
+from notezipf import analysis, smf
 from notezipf.errors import (
     DanglingStatus,
+    EmptyCorpus,
     InvalidVlq,
     MissingHeader,
     SmfError,
@@ -16,6 +18,7 @@ from notezipf.errors import (
 )
 from notezipf.smf import SmfDiagnostics, extract_notes, pair_notes, parse_smf, read_vlq
 
+from _oracles import reference_extract_notes
 from midibytes import (
     chunk,
     end_of_track,
@@ -342,25 +345,28 @@ class TestParseErrors:
             parse_smf(data)
 
 
+def set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def restore_collector():
+    enabled = gc.isenabled()
+    yield
+    set_collector(enabled)
+
+
+@pytest.mark.usefixtures("restore_collector")
 class TestCollectorSetting:
     """parse_smf pauses the cyclic collector while it builds the notes; the
     caller finds the setting it had, also after a decoding error."""
 
-    @pytest.fixture(autouse=True)
-    def restore_collector(self):
-        enabled = gc.isenabled()
-        yield
-        if enabled:
-            gc.enable()
-        else:
-            gc.disable()
-
     @pytest.mark.parametrize("enabled", [True, False])
     def test_setting_is_kept(self, enabled):
-        if enabled:
-            gc.enable()
-        else:
-            gc.disable()
+        set_collector(enabled)
         seen = []  # gc.isenabled() as each track is decoded
         parse_track = smf._parse_track
 
@@ -385,6 +391,112 @@ class TestCollectorSetting:
         with pytest.raises(TruncatedChunk, match="^track data ends inside a channel message$"):
             extract_notes(data)
         assert gc.isenabled()
+
+
+def held_notes_file(tracks: int, notes: int) -> bytes:
+    """tracks copies of a track of notes played one after another, each held
+    300 to 348 ticks, so no duration is a cached small int; 1,960 notes in a
+    row are distinct tokens."""
+    events = []
+    for i in range(notes):
+        events.append(note_on(10, 40 + i % 40))
+        events.append(note_off(300 + i % 49, 40 + i % 40))
+    return simple_file(96, *[track_chunk(*events, end_of_track())] * tracks)
+
+
+@pytest.mark.usefixtures("restore_collector")
+class TestReadTokensCollector:
+    """read_tokens pauses the collector from decoding through tokenize and
+    frees the notes before it resumes; the caller finds the setting it had."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_paused_through_tokenize_and_setting_kept(self, tmp_path, enabled):
+        path = tmp_path / "piece.mid"
+        path.write_bytes(held_notes_file(2, 30))
+        set_collector(enabled)
+        seen = []  # gc.isenabled() as tokenize starts
+        tokenize = analysis.tokenize
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return tokenize(*args, **kwargs)
+
+        with mock.patch.object(analysis, "tokenize", recording):
+            kind, tokens, _ = analysis.read_tokens(str(path))
+        assert (kind, len(tokens), seen) == ("midi", 60, [False])
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_kept_when_decoding_fails(self, tmp_path, enabled):
+        path = tmp_path / "cut.mid"
+        path.write_bytes(simple_file(96, track_chunk(note_on(0, 60), vlq(0) + bytes([0x90]))))
+        set_collector(enabled)
+        with pytest.raises(TruncatedChunk):
+            analysis.read_tokens(str(path))
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_kept_when_every_note_is_too_short(self, tmp_path, enabled):
+        path = tmp_path / "piece.mid"
+        path.write_bytes(held_notes_file(1, 10))
+        set_collector(enabled)
+        with pytest.raises(EmptyCorpus, match="^no notes survived tokenization$"):
+            analysis.read_tokens(str(path), min_ticks=350)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_runs_while_reading(self, tmp_path):
+        # 6,000 tracked notes: a resumed collector would walk them at its
+        # next allocation, and the tokenizer's allocations would start more.
+        # The 1,960 tokens and their memo entries outlive the pause, so an
+        # allocation after it resumes would start a collection too
+        path = tmp_path / "piece.mid"
+        path.write_bytes(held_notes_file(4, 1500))
+        gc.enable()
+        gc.collect()
+        collections = []
+        reader = analysis.read_tokens.__code__
+
+        def record(phase, info):
+            # a collection the caller's next allocation starts is not counted
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not reader:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                collections.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            _, tokens, _ = analysis.read_tokens(str(path))
+        finally:
+            gc.callbacks.remove(record)
+        assert len(tokens) == 6000
+        assert collections == []
+
+
+class TestDurationSharing:
+    def test_equal_durations_in_a_track_are_one_object(self):
+        # durations of 300 ticks end by note-off and, for the two notes left
+        # open, at end-of-track
+        track = track_chunk(
+            note_on(0, 60),
+            note_on(0, 64),
+            note_off(300, 60),
+            note_on(0, 67),
+            note_off(0, 64),
+            note_on(0, 70),
+            note_on(0, 72),
+            note_off(300, 67),
+            note_on(0, 74),
+            end_of_track(300),
+        )
+        data = simple_file(96, track, track)
+        header, notes, diag = extract_notes(data)
+        assert (header, notes, diag) == reference_extract_notes(data)
+        for track_index in (0, 1):
+            durations = [note.duration for note in notes if note.track == track_index]
+            assert sorted(durations) == [300] * 4 + [600] * 2
+            assert len({id(d) for d in durations}) == 2
+        assert diag.unmatched_note_ons == 6
 
 
 class TestProperties:
