@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DegenerateTable, DomainError, NoRoot
 from .numerics import chi_square_sf, golden_minimize
@@ -113,24 +113,24 @@ def coefficients(n0: float, V: float, nu: float) -> tuple[float, float]:
     return a, b
 
 
-def _predict(r: float, a: float, b: float, z: float) -> float:
-    return math.exp(-z * math.log(a + b * r))
-
-
 def predict_n(r: float, fit: SimonFit) -> float:
     """Predicted occurrence count at rank r (r = 0 gives n0, r = V gives 1)."""
-    return _predict(r, fit.a, fit.b, fit.z)
+    return math.exp(-fit.z * math.log(fit.a + fit.b * r))
 
 
-def _log_curve(V: int, a: float, b: float) -> list[float]:
-    """log(a + b*r) at ranks r = 1..V, computed as _predict and _sse_log compute it."""
-    return [math.log(a + b * r) for r in range(1, V + 1)]
+def _log_curve(V: int, a: float, b: float) -> Iterator[float]:
+    """log(a + b*r) at ranks r = 1..V, computed as predict_n and _sse_log compute it."""
+    return (math.log(a + b * r) for r in range(1, V + 1))
+
+
+def _curve(log_curve: Iterable[float], z: float) -> Iterator[float]:
+    """The law's count exp(-z*u) for each u that _log_curve gives, as predict_n has it."""
+    return (math.exp(-z * u) for u in log_curve)
 
 
 def predicted_counts(fit: SimonFit, V: int) -> list[float]:
     """predict_n at ranks 1..V, float for float."""
-    a, b, minus_z = fit.a, fit.b, -fit.z
-    return [math.exp(minus_z * math.log(a + b * r)) for r in range(1, V + 1)]
+    return list(_curve(_log_curve(V, fit.a, fit.b), fit.z))
 
 
 def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
@@ -214,10 +214,9 @@ def _sse_log(
 
 
 def _sse_linear(counts: list[int], a: float, b: float, z: float) -> float:
+    curve = _curve(_log_curve(len(counts), a, b), z)
     try:
-        return math.fsum(
-            (c - _predict(r, a, b, z)) ** 2 for r, c in enumerate(counts, start=1)
-        )
+        return math.fsum((c - p) ** 2 for c, p in zip(counts, curve))
     except OverflowError:
         raise DomainError(f"linear sum of squared residuals exceeds {_FLOAT_RANGE}") from None
 
@@ -282,10 +281,10 @@ def fit_nu(table: RankTable, residuals: str = "log") -> SimonFit:
     z = 1.0 / nu_hat
     # the closing per-rank sums share log(a + b*r), and take log(count) once
     # per run; besides that one list they hold no list of V terms
-    log_curve = _log_curve(V, a, b)
+    log_curve = list(_log_curve(V, a, b))
     observed = chain.from_iterable(repeat(math.log(count), n) for count, n in table.runs)
     sse_log = math.fsum((obs + z * u) ** 2 for obs, u in zip(observed, log_curve))
-    chi2, dof, p_value = _chi_square(counts, log_curve, z)
+    chi2, dof, p_value = _chi_square(counts, _curve(log_curve, z))
     return SimonFit(
         nu=nu_hat,
         z=z,
@@ -308,16 +307,13 @@ def chi_square_gof(counts: list[int], a: float, b: float, z: float) -> tuple[flo
     Returns (chi2, dof, p_value) with dof = V - 2: one fitted exponent plus
     the constraint the corpus total imposes through the cap.
     """
-    return _chi_square(counts, _log_curve(len(counts), a, b), z)
+    return _chi_square(counts, _curve(_log_curve(len(counts), a, b), z))
 
 
-def _chi_square(counts: list[int], log_curve: list[float], z: float) -> tuple[float, int, float]:
-    """chi_square_gof with log(a + b*r) given by rank, as _log_curve returns it."""
-    minus_z = -z
+def _chi_square(counts: list[int], curve: Iterable[float]) -> tuple[float, int, float]:
+    """chi_square_gof with the predicted counts given by rank, as _curve gives them."""
     try:
-        chi2 = math.fsum(
-            (c - (pred := math.exp(minus_z * u))) ** 2 / pred for c, u in zip(counts, log_curve)
-        )
+        chi2 = math.fsum((c - p) ** 2 / p for c, p in zip(counts, curve))
     except OverflowError:
         raise DomainError(f"chi-square statistic exceeds {_FLOAT_RANGE}") from None
     dof = len(counts) - 2

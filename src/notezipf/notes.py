@@ -38,6 +38,11 @@ class DurationClass(NamedTuple):
         return hash(self.label)
 
 
+def _check_ratio(duration: int, division: int) -> None:
+    if not (math.inf > duration >= 1 and math.inf > division >= 1):  # NaN fails this too
+        raise ValueError(f"need finite duration and division >= 1, got {duration}/{division}")
+
+
 class DurationGrid:
     """Immutable set of duration classes with nearest-in-log-space lookup."""
 
@@ -64,8 +69,7 @@ class DurationGrid:
         Ties break toward the shorter class; values beyond either end of the
         grid land on the end class.
         """
-        if duration < 1 or division < 1:
-            raise ValueError(f"need duration >= 1 and division >= 1, got {duration}/{division}")
+        _check_ratio(duration, division)
         x = math.log(duration / division)
         best = min(
             range(len(self.classes)),
@@ -74,7 +78,9 @@ class DurationGrid:
         return self.classes[best]
 
     def is_out_of_range(self, duration: int, division: int) -> bool:
-        frac = Fraction(duration, division)
+        """Whether duration/division lies beyond either end of the grid."""
+        _check_ratio(duration, division)
+        frac = Fraction(duration) / Fraction(division)
         return frac < self.classes[0].ratio or frac > self.classes[-1].ratio
 
     @classmethod
@@ -139,8 +145,10 @@ def tokenize(
     durations beyond the grid's ends clamp to the end class and are tallied.
     Each distinct duration is classified once, and each distinct
     (pitch, duration) becomes a token once.  Raises EmptyCorpus when nothing
-    survives.
+    survives, and ValueError for a division below 1 or not finite.
     """
+    if not math.inf > division >= 1:
+        raise ValueError(f"need a finite division >= 1, got {division}")
     tokens: list[NoteToken] = []
     dropped = 0
     out_of_grid = 0

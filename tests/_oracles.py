@@ -399,3 +399,53 @@ def reference_extract_notes(data: bytes):
                 close(onset, end_tick, track, channel, pitch)
     header = SmfHeader(format=fmt, track_count=len(tracks), division=division)
     return header, notes, diag
+
+
+def reference_tokens(data: bytes, kind: str) -> list:
+    """The tokens of a file of the given kind, by the reference readers.
+
+    A MIDI file is decoded by reference_extract_notes, and each note becomes
+    (pitch, label of its default-grid class) by its own classify call.  A
+    text or token file is UTF-8 less one leading byte-order mark; text is
+    split by reference_tokenize_text, a token file into its stripped,
+    non-empty lines.
+    """
+    if kind == "midi":
+        from notezipf.notes import DEFAULT_GRID
+
+        header, notes, _ = reference_extract_notes(data)
+        tokens = []
+        for note in notes:
+            duration_class = DEFAULT_GRID.classify(note.duration, header.division)
+            tokens.append((note.pitch, duration_class.label))
+        return tokens
+    text = data.decode("utf-8").removeprefix("\ufeff")
+    if kind == "text":
+        return reference_tokenize_text(text)
+    return [line.strip() for line in text.splitlines() if line.strip()]
+
+
+def reference_analysis(data: bytes, kind: str):
+    """(counts by rank, spectrum as sorted (n, w) pairs, nu) of a file.
+
+    The counts come from a plain Counter of reference_tokens.  nu is fit_nu's
+    on a table of those counts with fit._RUN_MIN above V, so the search sums
+    every rank one by one and no run by Euler-Maclaurin; it is None when the
+    table is degenerate (under 3 distinct tokens, or all counts equal).
+    """
+    from collections import Counter
+    from unittest import mock
+
+    from notezipf import fit
+    from notezipf.errors import DegenerateTable
+    from notezipf.stats import RankTable
+
+    counter = Counter(reference_tokens(data, kind))
+    counts = sorted(counter.values(), reverse=True)
+    spectrum = sorted(Counter(counts).items())
+    with mock.patch.object(fit, "_RUN_MIN", len(counts) + 1):
+        try:
+            nu = fit.fit_nu(RankTable(counter.items())).nu
+        except DegenerateTable:
+            nu = None
+    return counts, spectrum, nu

@@ -191,6 +191,10 @@ class TestFitNu:
         with pytest.raises(DegenerateTable):
             fit_nu(table_from_counts([5, 3]))
 
+    def test_unknown_residuals(self):
+        with pytest.raises(ValueError, match="residuals must be 'log' or 'linear', got 'bogus'"):
+            fit_nu(table_from_counts([5, 3, 1]), residuals="bogus")
+
     def test_label_invariance(self):
         # the fit sees only the count multiset, not the token identities
         stream_a = ["x"] * 6 + ["y"] * 3 + ["z"] * 2 + ["w"]

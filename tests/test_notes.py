@@ -58,6 +58,23 @@ class TestClassifyDuration:
         with pytest.raises(ValueError):
             DEFAULT_GRID.classify(96, 0)
 
+    @pytest.mark.parametrize(
+        "duration, division",
+        [(480, 0), (480, -480), (0, 480), (-1, 480), (math.inf, 480), (480, math.nan)],
+    )
+    def test_range_check_rejects_what_classify_rejects(self, duration, division):
+        # an infinite duration classified as the shortest class, and
+        # is_out_of_range raised a bare ZeroDivisionError or OverflowError
+        for method in (DEFAULT_GRID.classify, DEFAULT_GRID.is_out_of_range):
+            with pytest.raises(ValueError, match="need finite duration and division >= 1"):
+                method(duration, division)
+
+    def test_float_division_is_accepted_as_classify_accepts_it(self):
+        assert DEFAULT_GRID.classify(480, 480.0).label == "quarter"
+        assert not DEFAULT_GRID.is_out_of_range(480, 480.0)
+        assert DEFAULT_GRID.is_out_of_range(480, 1.5)  # 320 quarters, past double_whole
+        assert not DEFAULT_GRID.is_out_of_range(480, 960.0)
+
 
 class TestDurationGrid:
     def test_labels_and_ratios_bijective(self):
@@ -174,6 +191,16 @@ class TestTokenize:
         result = tokenize([raw(60, 0, 96 * 100), raw(62, 1, 96)], division=96)
         assert result.out_of_grid == 1
         assert len(result.tokens) == 2
+
+    @pytest.mark.parametrize("division", [0, -480, math.inf])
+    def test_division_below_one_is_rejected_before_any_note(self, division):
+        for notes in ([raw(60, 0, 96)], []):
+            with pytest.raises(ValueError, match="need a finite division >= 1"):
+                tokenize(notes, division=division)
+
+    def test_float_division_tokenizes_as_its_int(self):
+        notes = [raw(60, 0, 96), raw(62, 96, 48), raw(64, 144, 96 * 100)]
+        assert tokenize(notes, division=96.0) == tokenize(notes, division=96)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):

@@ -95,6 +95,18 @@ class TestGoldenMinimize:
         golden_minimize(g, 1.5, 4.0, x_tol=1e-6)
         assert all(1.5 <= x <= 4.0 for x in calls)
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_interval_rejected(self, lo, hi):
+        with pytest.raises(DomainError, match="need lo < hi"):
+            golden_minimize(lambda x: x, lo, hi)
+
+    @pytest.mark.parametrize("hi", [1.0 + 1e-4, 1.0 + 5e-5])
+    def test_interval_within_tolerance_gives_midpoint_without_evaluating(self, hi):
+        def g(x):
+            raise AssertionError(f"g evaluated at {x}")
+
+        assert golden_minimize(g, 1.0, hi, x_tol=1e-4) == 0.5 * (1.0 + hi)
+
 
 class TestLogLogOls:
     def test_exact_square_law(self):
@@ -125,3 +137,7 @@ class TestLogLogOls:
             loglog_ols([(1.0, 1.0), (2.0, 4.0), (0.0, 3.0)])
         with pytest.raises(DomainError):
             loglog_ols([(1.0, 1.0), (2.0, -4.0), (3.0, 3.0)])
+
+    def test_equal_abscissae(self):
+        with pytest.raises(DomainError, match="all abscissae equal"):
+            loglog_ols([(2.0, 1.0), (2.0, 4.0), (2.0, 3.0)])

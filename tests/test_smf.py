@@ -316,6 +316,14 @@ class TestParseErrors:
         with pytest.raises(TruncatedChunk):
             parse_smf(data)
 
+    def test_track_ends_after_meta_status_byte(self):
+        data = simple_file(96, track_chunk(note_on(0, 60), vlq(0) + bytes([0xFF])))
+        message = "^track data ends inside a meta event$"
+        with pytest.raises(TruncatedChunk, match=message):
+            parse_smf(data)
+        with pytest.raises(TruncatedChunk, match=message):
+            reference_extract_notes(data)
+
     def test_invalid_vlq_in_track(self):
         data = simple_file(96, track_chunk(bytes([0x80, 0x80, 0x80, 0x80, 0x80])))
         with pytest.raises(InvalidVlq):

@@ -74,6 +74,12 @@ class TestReadTextTokens:
         path.write_text("One fish, two fish.", encoding="utf-8")
         assert read_token_list(path, "text") == ("text", ["one", "fish", "two", "fish"], {})
 
+    def test_unknown_kind(self, tmp_path):
+        path = tmp_path / "novel.txt"
+        path.write_text("One fish, two fish.", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+            read_tokens(str(path), kind="bogus")
+
     def test_decode_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"\xff\xfe\x00 garbage \x80")
